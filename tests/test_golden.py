@@ -1,0 +1,65 @@
+"""Golden digests of every `sitepick sweep` artifact.
+
+Two small fixed synthetic surveys are swept through the CLI, one serially
+and one with a two-process pool, and the sha256 of each artifact is compared
+with a pinned value. Any change to the numeric path (distance matrix, Dunn
+scoring, Lloyd iterations, export formatting) that moves a single output
+byte fails here. A deliberate change to the outputs must re-pin these
+digests and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from sitepick.cli import main
+from sitepick.synth import SynthSpec, synthetic_csv
+
+CASES = {
+    "serial": (
+        SynthSpec(blobs=3, per_blob=6, spread_km=0.8, quadrants=("A", "B"), seed=11),
+        ["--runs-per-k", "6", "--base-seed", "4", "--workers", "1"],
+        {
+            "clusters_A.geojson": "08c9bd896f060252452e7d675a9fb0a48b08e64163a1934a349b10eb775361cd",
+            "clusters_B.geojson": "d82879b5ffebd371fd50e2aabf64b99602f1787c8d6db649bd2a6439da1f45d8",
+            "dunn_curve_A.csv": "68031788f5780aa8615daa84427584277085c0fa6799072ae78c8e9aa0b8171c",
+            "dunn_curve_B.csv": "a9b50f8e5dfb34d52266c58d0889dd5e93929705fc220546c22f7f5999b0918e",
+            "manifest.json": "e72f87a65f22aec4785799a95cf04f3f4621bccf0a0bdc6122387f5ac9f35928",
+            "sites_A.csv": "98dcc2ee3238719a29c4e99a303bbb7a3674fee2908dcd49ace1026cfec02b40",
+            "sites_B.csv": "e3619c6e09e0915bae2a58741488505140aa7dd2d8464f5a7cda10c24eae564e",
+        },
+    ),
+    "pool": (
+        SynthSpec(
+            blobs=4, per_blob=8, spread_km=0.5, ring_km=15.0, weight_law="low",
+            quadrants=("C", "D"), seed=3,
+        ),
+        ["--runs-per-k", "5", "--base-seed", "9", "--workers", "2"],
+        {
+            "clusters_C.geojson": "52f42f67646f901cf23f516cf9e7654a207e16d8e5f554175a36f53deff30554",
+            "clusters_D.geojson": "d06b96e3961619e4cb95e6345190b3af39be1063a6cc2ddb2f238053b8f0908a",
+            "dunn_curve_C.csv": "6e9fcc35cd43addecc5313661676fb4c2432c7faafa474210fea86b4c1590f64",
+            "dunn_curve_D.csv": "214f4afe2940bcabf701d9f781c14df93d313465a9888eda4c8e14d6e11ba8b3",
+            "manifest.json": "27e04f98b16de77757fc8e1d1fde0a6f2aff913d9b763d6e429372ce5b4c6481",
+            "sites_C.csv": "9e5fe03bad230b4d0169795939661e28630fe9234d1c120d85141c44317dacf4",
+            "sites_D.csv": "8982b78395f0704aa1318af33bd9779b001f0583ad9a441e849003d10cec18a0",
+        },
+    ),
+}
+
+
+def digests(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_artifact_digests(tmp_path, name):
+    spec, flags, expected = CASES[name]
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(synthetic_csv(spec))
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out)] + flags) == 0
+    assert digests(out) == expected
