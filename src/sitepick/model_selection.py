@@ -7,11 +7,20 @@ keeps the run with the highest Dunn index, then picks the k whose best run
 scores highest overall. Seeds for each (k, run) cell are derived
 independently from the base seed, so results do not depend on execution
 order and the sweep can fan out across processes.
+
+Memory model: every (k, run) cell reads the same pairwise distance matrix,
+so it is built once per quadrant per process and reused for every k and
+run. That is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at n = 1500 and
+0.8 GB at n = 10 000. With workers > 1 each pool worker builds its own copy
+in the pool initializer and the parent builds none, so the figure holds per
+worker. The matrix is filled in row blocks, so building it takes only
+O(block * n) scratch beyond the matrix itself.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -34,6 +43,10 @@ from .geo import GeoPoint, coords_array
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
+
+# Rows of the distance matrix computed per metric call; bounds the scratch
+# arrays of one call to O(_MATRIX_BLOCK_ROWS * n).
+_MATRIX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -100,11 +113,7 @@ def dunn_index(
         raise ValidationError(f"{len(points)} points but {labels.size} labels")
     if np.unique(labels).size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
-    coords = coords_array(points)
-    iu, iv = np.triu_indices(len(points), k=1)
-    dist_flat = metric.pairwise(coords, coords)[iu, iv]
-    same_flat = labels[iu] == labels[iv]
-    score = _dunn_from_condensed(dist_flat, same_flat)
+    score = _dunn_from_matrix(_distance_matrix(coords_array(points), metric), labels)
     if score is None:
         raise DegenerateClusteringError(
             "every cluster has zero diameter; the Dunn ratio is undefined"
@@ -112,14 +121,38 @@ def dunn_index(
     return score
 
 
-def _dunn_from_condensed(dist_flat: np.ndarray, same_flat: np.ndarray) -> DunnScore | None:
-    """Dunn score from condensed upper-triangle distances, or None when the
-    largest intra-cluster diameter is zero (all-singleton/coincident case)."""
-    intra = dist_flat[same_flat]
-    max_intra_km = float(intra.max()) if intra.size else 0.0
+def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
+    """Full (n, n) float64 metric matrix of an (n, 2) radian array, filled in
+    row blocks. Each entry is the same expression a single broadcast call
+    evaluates, so the values are identical; only the scratch is smaller."""
+    n = coords.shape[0]
+    dist = np.empty((n, n), dtype=np.float64)
+    for start in range(0, n, _MATRIX_BLOCK_ROWS):
+        stop = start + _MATRIX_BLOCK_ROWS
+        dist[start:stop] = metric.pairwise(coords[start:stop], coords)
+    return dist
+
+
+def _dunn_from_matrix(dist: np.ndarray, labels: np.ndarray) -> DunnScore | None:
+    """Dunn score from a symmetric distance matrix with a zero diagonal, one
+    cluster at a time, or None when the largest cluster diameter is zero
+    (all-singleton/coincident case). Needs two non-empty clusters.
+
+    A cluster's rows give its diameter (its own columns) and its distances
+    to every other cluster (the remaining columns). Min and max are exact,
+    so the result does not depend on the order clusters are visited in.
+    """
+    order = np.argsort(labels, kind="stable")
+    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
+    max_intra_km = 0.0
+    min_inter_km = math.inf
+    for members in np.split(order, boundaries):
+        rows = dist[members]
+        max_intra_km = max(max_intra_km, float(rows[:, members].max()))
+        rows[:, members] = np.inf
+        min_inter_km = min(min_inter_km, float(rows.min()))
     if max_intra_km == 0.0:
         return None
-    min_inter_km = float(dist_flat[~same_flat].min())
     return DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
 
 
@@ -140,6 +173,7 @@ class _RawBest:
 
 
 def _best_for_k(
+    dist: np.ndarray,
     coords: np.ndarray,
     weights: np.ndarray,
     runs_per_k: int,
@@ -148,15 +182,13 @@ def _best_for_k(
     max_iterations: int,
     k: int,
 ) -> Optional[_RawBest]:
-    iu, iv = np.triu_indices(coords.shape[0], k=1)
-    dist_flat = metric.pairwise(coords, coords)[iu, iv]
     best: Optional[_RawBest] = None
     for run in range(runs_per_k):
         seed = derive_seed(base_seed, k, run)
         centers, labels, iterations, converged = _kmeans_core(
             coords, weights, k, metric, seed, max_iterations
         )
-        score = _dunn_from_condensed(dist_flat, labels[iu] == labels[iv])
+        score = _dunn_from_matrix(dist, labels)
         if score is None:
             continue
         if best is None or score.value > best.value:
@@ -173,6 +205,38 @@ def _best_for_k(
                 max_intra_km=score.max_intra_km,
             )
     return best
+
+
+# Distance matrix of the quadrant a pool worker is sweeping. It is set only
+# inside pool workers, by the pool initializer, and goes away when the pool
+# shuts its workers down; the parent process never sets it.
+_WORKER_DIST: Optional[np.ndarray] = None
+
+
+def _init_worker(coords: np.ndarray, metric: DistanceMetric) -> None:
+    global _WORKER_DIST
+    _WORKER_DIST = _distance_matrix(coords, metric)
+
+
+def _best_for_k_in_worker(
+    coords: np.ndarray,
+    weights: np.ndarray,
+    runs_per_k: int,
+    base_seed: int,
+    metric: DistanceMetric,
+    max_iterations: int,
+    k: int,
+) -> Optional[_RawBest]:
+    assert _WORKER_DIST is not None, "pool worker started without _init_worker"
+    return _best_for_k(
+        _WORKER_DIST, coords, weights, runs_per_k, base_seed, metric, max_iterations, k
+    )
+
+
+def _pool_size(workers: int, cells: int, cpus: int) -> int:
+    """Processes worth starting: no more than requested, than there are k
+    values to hand out, or than the machine has CPUs; at least one."""
+    return max(1, min(workers, cells, cpus))
 
 
 def _materialize(
@@ -228,12 +292,18 @@ def sweep(
     w = np.asarray(weights, dtype=np.float64)
     _validate_weights(w)
 
-    job = partial(_best_for_k, coords, w, runs_per_k, base_seed, metric, max_iterations)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw_bests = list(pool.map(job, ks))
+    args = (coords, w, runs_per_k, base_seed, metric, max_iterations)
+    size = _pool_size(workers, len(ks), os.cpu_count() or 1)
+    if size > 1:
+        # Workers build the matrix themselves: building it here and shipping
+        # it would leave a copy and its freed temporaries in the parent.
+        with ProcessPoolExecutor(
+            max_workers=size, initializer=_init_worker, initargs=(coords, metric)
+        ) as pool:
+            raw_bests = list(pool.map(partial(_best_for_k_in_worker, *args), ks))
     else:
-        raw_bests = [job(k) for k in ks]
+        dist = _distance_matrix(coords, metric)
+        raw_bests = [_best_for_k(dist, *args, k) for k in ks]
 
     per_k: dict[int, Optional[KBest]] = {}
     optimal: Optional[KBest] = None

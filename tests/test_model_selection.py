@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sitepick.clustering import ClusterAssignment, HaversineMetric, kmeans
+from sitepick.clustering import ClusterAssignment, HaversineMetric, PlanarMetric, kmeans
 from sitepick.errors import DegenerateClusteringError, SweepError, ValidationError
-from sitepick.geo import EarthModel, from_degrees, haversine
+from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
+    _distance_matrix,
+    _pool_size,
     default_k_max,
     dunn_index,
     sweep,
@@ -159,6 +161,81 @@ def test_dunn_invariant_under_relabeling_and_reordering(data):
         ClusterAssignment(labels=np.array([labels[i] for i in order]), k=k),
     )
     assert after_reorder == base
+
+
+def dunn_condensed(points, labels, metric):
+    """(min_inter_km, max_intra_km) from the condensed upper triangle of one
+    broadcast pairwise call; max_intra_km is 0.0 when no pair shares a label."""
+    coords = coords_array(points)
+    iu, iv = np.triu_indices(len(points), k=1)
+    flat = metric.pairwise(coords, coords)[iu, iv]
+    same = labels[iu] == labels[iv]
+    intra = flat[same]
+    max_intra = float(intra.max()) if intra.size else 0.0
+    return float(flat[~same].min()), max_intra
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_dunn_index_equals_condensed_reference_exactly(data):
+    metric = data.draw(st.sampled_from([HaversineMetric(), PlanarMetric()]))
+    k = data.draw(st.integers(min_value=2, max_value=6))
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    labels = np.array(
+        [0, 1] + data.draw(st.lists(st.integers(0, k - 1), min_size=n - 2, max_size=n - 2))
+    )
+    m = data.draw(st.integers(min_value=k, max_value=12))
+    spots = data.draw(
+        st.lists(
+            st.builds(from_degrees, st.floats(-90.0, 90.0), st.floats(-180.0, 180.0)),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    if data.draw(st.booleans()):
+        # Every cluster a bundle of coincident points: zero diameters.
+        points = [spots[label] for label in labels]
+    else:
+        # Few distinct spots, so coincident points within and across clusters.
+        picks = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+        points = [spots[i] for i in picks]
+    assignment = ClusterAssignment(labels=labels, k=k)
+    min_inter, max_intra = dunn_condensed(points, labels, metric)
+    if max_intra == 0.0:
+        with pytest.raises(DegenerateClusteringError):
+            dunn_index(points, assignment, metric=metric)
+        return
+    score = dunn_index(points, assignment, metric=metric)
+    assert score.min_inter_km == min_inter
+    assert score.max_intra_km == max_intra
+    assert score.value == min_inter / max_intra
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_distance_matrix_is_the_broadcast_matrix_and_symmetric(metric):
+    # More rows than one block, with a ragged last block, over the whole
+    # sphere, with duplicates and antipodes.
+    rng = np.random.default_rng(3)
+    lat = rng.uniform(-90.0, 90.0, 600)
+    lon = rng.uniform(-180.0, 180.0, 600)
+    points = [from_degrees(a, b) for a, b in zip(lat, lon)]
+    points += points[:5] + [from_degrees(-a, b + 180.0) for a, b in zip(lat[:5], lon[:5])]
+    coords = coords_array(points)
+    dist = _distance_matrix(coords, metric)
+    assert dist.shape == (len(points), len(points)) and dist.dtype == np.float64
+    assert np.array_equal(dist, metric.pairwise(coords, coords))
+    assert np.array_equal(dist, dist.T)
+    assert not dist.diagonal().any()
+
+
+def test_pool_size_clamps_to_cells_and_cpus():
+    assert _pool_size(1, 37, 8) == 1
+    assert _pool_size(2, 37, 8) == 2
+    assert _pool_size(10**9, 37, 8) == 8
+    assert _pool_size(10**9, 3, 8) == 3
+    assert _pool_size(4, 1, 8) == 1
+    assert _pool_size(4, 37, 1) == 1
+    assert _pool_size(1, 0, 8) == 1
 
 
 # --- candidate range ---
