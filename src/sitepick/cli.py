@@ -9,8 +9,10 @@ Subcommands:
 Configuration is read from flags and, optionally, a key=value config file
 given with --config; flags win over the file. Environment variables are
 deliberately never consulted, so a command line plus its files fully
-determines the run. Exit codes: 0 success, 2 bad configuration or usage,
-3 unparseable input, 4 clustering that produced no scoreable partition.
+determines the run. Exit codes: 0 success, 2 bad configuration or usage
+(including an output directory that cannot be created or written), 3
+unparseable input (including input that is not UTF-8 text), 4 clustering
+that produced no scoreable partition.
 """
 
 from __future__ import annotations
@@ -183,10 +185,11 @@ def _read_input(path: str) -> bytes:
         raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
 
 
-def _parse_survey(args: argparse.Namespace, config: RunConfig) -> tuple[bytes, ParseResult]:
+def _parse_survey(
+    config: RunConfig, column_map: "dict[str, str] | None"
+) -> tuple[bytes, ParseResult]:
     assert config.input is not None
     data = _read_input(config.input)
-    column_map = _load_column_map(args.column_map)
     parsed = parse_responses(data, column_map=column_map, strict=config.strict)
     for diagnostic in parsed.diagnostics:
         print(f"warning: {diagnostic}", file=sys.stderr)
@@ -194,15 +197,18 @@ def _parse_survey(args: argparse.Namespace, config: RunConfig) -> tuple[bytes, P
 
 
 def _write(directory: Path, name: str, payload: bytes) -> Path:
-    directory.mkdir(parents=True, exist_ok=True)
     target = directory / name
-    target.write_bytes(payload)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from exc
     return target
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _, parsed = _parse_survey(args, config)
+    _, parsed = _parse_survey(config, _load_column_map(args.column_map))
     out_dir = Path(config.output_dir)
     lines = ["source_row,participant_id,quadrant,region,frequency_factor,avg_duration_min,weight"]
     summary = ["quadrant,label,n_points,auc"]
@@ -229,10 +235,10 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     config = resolve_config(args)
-    data, parsed = _parse_survey(args, config)
+    column_map = _load_column_map(args.column_map)
+    data, parsed = _parse_survey(config, column_map)
     metric = HaversineMetric(EarthModel(config.earth_radius_km))
     out_dir = Path(config.output_dir)
-    column_map = _load_column_map(args.column_map)
     manifest = RunManifest(
         tool_version=__version__,
         input_digest=sha256_digest(data),
@@ -330,10 +336,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     payload = synthetic_csv(spec)
-    target = Path(args.output)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(payload)
+    target = _write(Path(args.output).parent, Path(args.output).name, payload)
     rows = payload.count(b"\n") - 1
     print(f"wrote {rows} synthetic responses to {target}")
     return 0
@@ -364,7 +367,9 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--region-order",
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,
-                        help="processes for the k sweep; results do not depend on this")
+                        help="processes for the k sweep, at most one per k and per CPU; "
+                             "each holds an 8*n*n-byte distance matrix; results do not "
+                             "depend on this")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -153,7 +153,16 @@ def parse_responses(
     row and the column as it appears in the file; with strict=True any
     diagnostic is escalated to a ParseError after the whole file is read.
     """
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            raise ParseError(
+                f"input is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} on line {line}"
+            ) from None
+    else:
+        text = data
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:

@@ -265,6 +265,27 @@ def test_empty_input_is_a_parse_error(tmp_path):
     assert main(["sweep", str(empty), "-o", str(tmp_path / "o")]) == 3
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    survey.write_bytes(survey.read_bytes().rstrip(b"\n") + b"\xff\n")
+    assert main(["sweep", str(survey), "-o", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: input is not UTF-8 text: byte 0xff on line 5")
+    assert "Traceback" not in err
+
+
+def test_output_dir_under_a_file_is_a_usage_error(tmp_path, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"")
+    code = main(["sweep", str(survey), "-o", str(blocker / "out"), "--quadrant", "A",
+                 "--runs-per-k", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
 def test_selected_quadrant_without_responses(tmp_path, capsys):
     survey = write_survey(tmp_path, ["p1,B,CBD,1.3,103.8,1 to 3,5"])
     code = main(["sweep", str(survey), "-o", str(tmp_path / "o"), "--quadrant", "A"])

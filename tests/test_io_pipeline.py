@@ -197,6 +197,12 @@ def test_parse_handles_utf8_bom():
     assert parse_responses(data).accepted == 6
 
 
+def test_parse_rejects_non_utf8_bytes():
+    data = b"\xef\xbb\xbf" + SIX_ROWS.encode("utf-8").replace(b"West", b"W\xe9st")
+    with pytest.raises(ParseError, match="byte 0xe9 on line 6"):
+        parse_responses(data)
+
+
 def test_parse_keeps_optional_columns():
     rows = "\n".join(
         [
