@@ -218,19 +218,10 @@ def _init_worker(coords: np.ndarray, metric: DistanceMetric) -> None:
     _WORKER_DIST = _distance_matrix(coords, metric)
 
 
-def _best_for_k_in_worker(
-    coords: np.ndarray,
-    weights: np.ndarray,
-    runs_per_k: int,
-    base_seed: int,
-    metric: DistanceMetric,
-    max_iterations: int,
-    k: int,
-) -> Optional[_RawBest]:
+def _best_for_k_in_worker(*args) -> Optional[_RawBest]:
+    """_best_for_k over the matrix this pool worker built in _init_worker."""
     assert _WORKER_DIST is not None, "pool worker started without _init_worker"
-    return _best_for_k(
-        _WORKER_DIST, coords, weights, runs_per_k, base_seed, metric, max_iterations, k
-    )
+    return _best_for_k(_WORKER_DIST, *args)
 
 
 def _pool_size(workers: int, cells: int, cpus: int) -> int:

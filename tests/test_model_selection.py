@@ -235,7 +235,7 @@ def test_pool_size_clamps_to_cells_and_cpus():
     assert _pool_size(10**9, 3, 8) == 3
     assert _pool_size(4, 1, 8) == 1
     assert _pool_size(4, 37, 1) == 1
-    assert _pool_size(1, 0, 8) == 1
+    assert _pool_size(0, 37, 8) == 1
 
 
 # --- candidate range ---
