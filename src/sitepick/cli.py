@@ -10,9 +10,11 @@ Configuration is read from flags and, optionally, a key=value config file
 given with --config; flags win over the file. Environment variables are
 deliberately never consulted, so a command line plus its files fully
 determines the run. Exit codes: 0 success, 2 bad configuration or usage
-(including an output directory that cannot be created or written), 3
+(including a --config or --column-map file that is missing or not UTF-8
+text, and an output directory that cannot be created or written), 3
 unparseable input (including input that is not UTF-8 text), 4 clustering
-that produced no scoreable partition.
+that produced no scoreable partition or lost a cluster. A run that fails
+writes no artifacts: every file is rendered before the first is written.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .clustering import DEFAULT_MAX_ITERATIONS, HaversineMetric
 from .errors import (
     ConfigError,
     DegenerateClusteringError,
+    EmptyClusterError,
     ParseError,
     SweepError,
     ValidationError,
@@ -125,9 +128,23 @@ _CONFIG_PARSERS = {
 }
 
 
+def _read_key_values(path: "str | Path", what: str) -> "dict[str, str]":
+    """Parse a UTF-8 key=value file, turning an unreadable file into ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {str(path)!r}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{what} {str(path)!r} is not UTF-8 text: "
+            f"byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    return parse_key_values(text)
+
+
 def load_config_file(path: "str | Path") -> RunConfig:
     """RunConfig from a key=value file; unknown keys are an error."""
-    values = parse_key_values(Path(path).read_text(encoding="utf-8"))
+    values = _read_key_values(path, "config file")
     fields: dict = {}
     for key, raw in values.items():
         parser = _CONFIG_PARSERS.get(key)
@@ -175,7 +192,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _load_column_map(path: "str | None") -> "dict[str, str] | None":
     if path is None:
         return None
-    return parse_key_values(Path(path).read_text(encoding="utf-8"))
+    return _read_key_values(path, "column map")
 
 
 def _read_input(path: str) -> bytes:
@@ -252,7 +269,9 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         column_map=column_map,
         region_order=config.region_order,
     )
-    produced = 0
+    # Rendered in full before anything is written, so a quadrant that fails
+    # leaves no artifacts of the quadrants before it behind.
+    artifacts: list[tuple[str, bytes]] = []
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
         weighted = build_weighted_points(parsed.responses, quadrant)
@@ -287,10 +306,12 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             source_points(parsed.responses, weighted),
             region_order=config.region_order,
         )
-        _write(out_dir, f"clusters_{letter}.geojson",
-               export_geojson(weighted, parsed.responses, best.result, report))
-        _write(out_dir, f"sites_{letter}.csv", export_site_table(report))
-        _write(out_dir, f"dunn_curve_{letter}.csv", export_dunn_curve(swept))
+        artifacts += [
+            (f"clusters_{letter}.geojson",
+             export_geojson(weighted, parsed.responses, best.result, report)),
+            (f"sites_{letter}.csv", export_site_table(report)),
+            (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
+        ]
         manifest.quadrants[letter] = QuadrantSummary(
             label=quadrant.label,
             n_points=len(weighted),
@@ -302,14 +323,14 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             max_intra_km=best.dunn.max_intra_km,
             sites=len(report.records),
         )
-        produced += 1
         print(
             f"quadrant {letter} ({quadrant.label}): n={len(weighted)} auc={auc:.4f} "
             f"k={swept.optimal_k} dunn={best.dunn.value:.4f} sites={len(report.records)}"
         )
-    if produced == 0:
+    if not manifest.quadrants:
         raise ConfigError("no selected quadrant had any responses")
-    _write(out_dir, "manifest.json", manifest.to_json())
+    for name, payload in artifacts + [("manifest.json", manifest.to_json())]:
+        _write(out_dir, name, payload)
     return 0
 
 
@@ -423,7 +444,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (DegenerateClusteringError, SweepError) as exc:
+    except (DegenerateClusteringError, EmptyClusterError, SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

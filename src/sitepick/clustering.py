@@ -6,6 +6,12 @@ per-coordinate means of (lat, lon) in radians. Assignment uses the plain
 metric distance; weights enter only the centroid update and the reported
 objective. The whole computation is a pure function of its inputs and the
 seed, so identical calls produce bit-identical results.
+
+Seeding and empty-cluster repair only ever need distances from data points
+to data points, so they read rows of the full pairwise matrix
+(`_distance_matrix`) that the caller builds once and shares across runs.
+The matrix is bitwise symmetric, so a row is exactly the column a direct
+metric call would return.
 """
 
 from __future__ import annotations
@@ -21,6 +27,10 @@ from .geo import EARTH, EarthModel, GeoPoint, coords_array, haversine_km
 from .rng import SplitMix64
 
 DEFAULT_MAX_ITERATIONS = 300
+
+# Rows of the distance matrix computed per metric call; bounds the scratch
+# arrays of one call to O(_MATRIX_BLOCK_ROWS * n).
+_MATRIX_BLOCK_ROWS = 256
 
 
 class LongitudeSpanWarning(UserWarning):
@@ -70,6 +80,18 @@ class PlanarMetric(DistanceMetric):
     def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = a - b
         return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
+    """Full (n, n) float64 metric matrix of an (n, 2) radian array, filled in
+    row blocks. Each entry is the same expression a single broadcast call
+    evaluates, so the values are identical; only the scratch is smaller."""
+    n = coords.shape[0]
+    dist = np.empty((n, n), dtype=np.float64)
+    for start in range(0, n, _MATRIX_BLOCK_ROWS):
+        stop = start + _MATRIX_BLOCK_ROWS
+        dist[start:stop] = metric.pairwise(coords[start:stop], coords)
+    return dist
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,23 +145,9 @@ def weighted_center(points: "list[GeoPoint]", weights: "list[float]") -> GeoPoin
         raise ValidationError(f"{len(points)} points but {len(weights)} weights")
     coords = coords_array(points)
     w = np.asarray(weights, dtype=np.float64)
-    lat, lon = _weighted_center_core(coords, w)
-    return GeoPoint(lat, lon)
-
-
-def _weighted_center_core(coords: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    total = float(w.sum())
-    if not total > 0.0:
-        raise ValidationError(f"sum of weights must be positive, got {total}")
-    if coords.shape[0] > 1 and float(np.ptp(coords[:, 1])) > np.pi:
-        warnings.warn(
-            "cluster spans more than pi radians of longitude; the coordinate "
-            "mean does not account for antimeridian wrap-around",
-            LongitudeSpanWarning,
-            stacklevel=3,
-        )
-    mean = (w[:, None] * coords).sum(axis=0) / total
-    return float(mean[0]), float(mean[1])
+    labels = np.zeros(len(points), dtype=np.int64)
+    lat, lon = _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
+    return GeoPoint(float(lat), float(lon))
 
 
 def kmeanspp_init(
@@ -154,16 +162,16 @@ def kmeanspp_init(
     The first center is uniform over the points; each later center is drawn
     with probability r_j^2 / sum(r^2) where r_j is point j's distance to its
     nearest already-chosen center. Weights are accepted for signature parity
-    but play no role in seeding.
+    but play no role in seeding. Builds the full pairwise distance matrix,
+    8 * n^2 bytes (18 MB at n = 1500).
     """
     del weights
     if len(points) == 0:
         raise ValidationError("cannot seed centers from an empty point set")
     if not 1 <= k <= len(points):
         raise ValidationError(f"k must be in [1, {len(points)}], got {k}")
-    coords = coords_array(points)
-    centers, _ = _kmeanspp_core(coords, k, metric, rng)
-    return [GeoPoint(float(lat), float(lon)) for lat, lon in centers]
+    chosen = _kmeanspp_core(_distance_matrix(coords_array(points), metric), k, rng)
+    return [points[i] for i in chosen]
 
 
 def _weighted_draw(probabilities: np.ndarray, rng: SplitMix64) -> int:
@@ -173,15 +181,13 @@ def _weighted_draw(probabilities: np.ndarray, rng: SplitMix64) -> int:
     return min(idx, probabilities.size - 1)
 
 
-def _kmeanspp_core(
-    coords: np.ndarray, k: int, metric: DistanceMetric, rng: SplitMix64
-) -> tuple[np.ndarray, list[int]]:
-    n = coords.shape[0]
+def _kmeanspp_core(matrix: np.ndarray, k: int, rng: SplitMix64) -> list[int]:
+    """Indices of the k seed points, drawn from the (n, n) distance matrix."""
+    n = matrix.shape[0]
     nearest = np.full(n, np.inf)
     probabilities: np.ndarray | None = np.full(n, 1.0 / n)
-    centers = np.empty((k, 2), dtype=np.float64)
     chosen: list[int] = []
-    for i in range(k):
+    for _ in range(k):
         if probabilities is None:
             # Every remaining point coincides with a chosen center, so the
             # squared-distance rule is 0/0; fall back to a uniform draw over
@@ -191,20 +197,19 @@ def _kmeanspp_core(
         else:
             idx = _weighted_draw(probabilities, rng)
         chosen.append(idx)
-        centers[i] = coords[idx]
-        np.minimum(nearest, metric.pairwise(coords, centers[i : i + 1])[:, 0], out=nearest)
+        np.minimum(nearest, matrix[idx], out=nearest)
         squared = nearest * nearest
         total = float(squared.sum())
         probabilities = squared / total if total > 0.0 else None
-    return centers, chosen
+    return chosen
 
 
 def _repair_empty_clusters(
+    matrix: np.ndarray,
     coords: np.ndarray,
     centers: np.ndarray,
     dist: np.ndarray,
     labels: np.ndarray,
-    metric: DistanceMetric,
 ) -> bool:
     """Ensure no cluster is empty; mutates centers, dist and labels in place.
 
@@ -230,7 +235,7 @@ def _repair_empty_clusters(
         j = int(empties[0])
         farthest = int(dist[:, j].argmax())
         centers[j] = coords[farthest]
-        dist[:, j] = metric.pairwise(coords, centers[j : j + 1])[:, 0]
+        dist[:, j] = matrix[farthest]
         apply_argmin()
 
     counts = np.bincount(labels, minlength=k)
@@ -250,18 +255,50 @@ def _repair_empty_clusters(
 
 
 def _update_centers(
-    coords: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int
+    coords: np.ndarray,
+    weights: np.ndarray,
+    weighted: np.ndarray,
+    labels: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    centers = np.empty((k, 2), dtype=np.float64)
-    for j in range(k):
-        members = np.flatnonzero(labels == j)
-        if members.size == 0:
-            raise EmptyClusterError(f"cluster {j} lost all members")  # pragma: no cover
-        centers[j] = _weighted_center_core(coords[members], weights[members])
-    return centers
+    """Weighted per-coordinate mean of every cluster, in one pass.
+
+    `weighted` is weights[:, None] * coords. The results are bitwise those
+    of summing each cluster's own slice: bincount adds a cluster's weighted
+    coordinates in ascending point order, as a sum over axis 0 does, and the
+    weight totals keep numpy's pairwise sum over each cluster's contiguous
+    run of the stably sorted weights.
+    """
+    counts = np.bincount(labels, minlength=k)
+    if not counts.all():
+        raise EmptyClusterError(f"cluster {int(counts.argmin())} lost all members")
+    order = np.argsort(labels, kind="stable")
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    sorted_weights = weights[order]
+    totals = np.array(
+        [np.add.reduce(sorted_weights[a:b]) for a, b in zip(starts.tolist(), stops.tolist())]
+    )
+    positive = totals > 0.0
+    if not positive.all():
+        raise ValidationError(f"sum of weights must be positive, got {totals[~positive][0]}")
+    lon = coords[order, 1]
+    span = np.maximum.reduceat(lon, starts) - np.minimum.reduceat(lon, starts)
+    if (span > np.pi).any():
+        warnings.warn(
+            "cluster spans more than pi radians of longitude; the coordinate "
+            "mean does not account for antimeridian wrap-around",
+            LongitudeSpanWarning,
+            stacklevel=2,
+        )
+    sums = np.column_stack(
+        [np.bincount(labels, weights=weighted[:, c], minlength=k) for c in range(2)]
+    )
+    return sums / totals[:, None]
 
 
 def _kmeans_core(
+    matrix: np.ndarray,
     coords: np.ndarray,
     weights: np.ndarray,
     k: int,
@@ -269,8 +306,9 @@ def _kmeans_core(
     seed: int,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    rng = SplitMix64(seed)
-    centers, _ = _kmeanspp_core(coords, k, metric, rng)
+    """One seeded run; `matrix` is `_distance_matrix(coords, metric)`."""
+    centers = coords[_kmeanspp_core(matrix, k, SplitMix64(seed))]
+    weighted = weights[:, None] * coords
     labels: np.ndarray | None = None
     converged = False
     iterations = 0
@@ -281,13 +319,13 @@ def _kmeans_core(
         # incomparable with the previous one, so it cannot declare convergence.
         repaired = int(np.bincount(new_labels, minlength=k).min()) == 0
         if repaired:
-            _repair_empty_clusters(coords, centers, dist, new_labels, metric)
+            _repair_empty_clusters(matrix, coords, centers, dist, new_labels)
         if labels is not None and not repaired and np.array_equal(new_labels, labels):
             converged = True
             labels = new_labels
             break
         labels = new_labels
-        centers = _update_centers(coords, weights, labels, k)
+        centers = _update_centers(coords, weights, weighted, labels, k)
     assert labels is not None
     return centers, labels, iterations, converged
 
@@ -305,7 +343,8 @@ def kmeans(
     Points are assigned to the metric-nearest center (ties to the lowest
     center index); centers are recomputed as weighted coordinate means.
     Stops once an assignment pass leaves the labels unchanged, or after
-    max_iterations with converged=False.
+    max_iterations with converged=False. Builds the full pairwise distance
+    matrix for seeding and repair, 8 * n^2 bytes (18 MB at n = 1500).
     """
     metric = metric if metric is not None else HaversineMetric()
     n = len(points)
@@ -321,7 +360,7 @@ def kmeans(
     w = np.asarray(weights, dtype=np.float64)
     _validate_weights(w)
     centers, labels, iterations, converged = _kmeans_core(
-        coords, w, k, metric, seed, max_iterations
+        _distance_matrix(coords, metric), coords, w, k, metric, seed, max_iterations
     )
     assignment = ClusterAssignment(labels=labels, k=k)
     return ClusteringResult(

@@ -8,11 +8,12 @@ scores highest overall. Seeds for each (k, run) cell are derived
 independently from the base seed, so results do not depend on execution
 order and the sweep can fan out across processes.
 
-Memory model: every (k, run) cell reads the same pairwise distance matrix,
-so it is built once per quadrant per process and reused for every k and
-run. That is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at n = 1500 and
-0.8 GB at n = 10 000. With workers > 1 each pool worker builds its own copy
-in the pool initializer and the parent builds none, so the figure holds per
+Memory model: every (k, run) cell reads the same pairwise distance matrix
+(for k-means++ seeding, empty-cluster repair and Dunn scoring), so it is
+built once per quadrant per process and reused for every k and run. That
+is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at n = 1500 and 0.8 GB
+at n = 10 000. With workers > 1 each pool worker builds its own copy in the
+pool initializer and the parent builds none, so the figure holds per
 worker. The matrix is filled in row blocks, so building it takes only
 O(block * n) scratch beyond the matrix itself.
 """
@@ -33,6 +34,7 @@ from .clustering import (
     ClusteringResult,
     DistanceMetric,
     HaversineMetric,
+    _distance_matrix,
     _kmeans_core,
     _objective_core,
     _validate_weights,
@@ -43,10 +45,6 @@ from .geo import GeoPoint, coords_array
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
-
-# Rows of the distance matrix computed per metric call; bounds the scratch
-# arrays of one call to O(_MATRIX_BLOCK_ROWS * n).
-_MATRIX_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -121,18 +119,6 @@ def dunn_index(
     return score
 
 
-def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
-    """Full (n, n) float64 metric matrix of an (n, 2) radian array, filled in
-    row blocks. Each entry is the same expression a single broadcast call
-    evaluates, so the values are identical; only the scratch is smaller."""
-    n = coords.shape[0]
-    dist = np.empty((n, n), dtype=np.float64)
-    for start in range(0, n, _MATRIX_BLOCK_ROWS):
-        stop = start + _MATRIX_BLOCK_ROWS
-        dist[start:stop] = metric.pairwise(coords[start:stop], coords)
-    return dist
-
-
 def _dunn_from_matrix(dist: np.ndarray, labels: np.ndarray) -> DunnScore | None:
     """Dunn score from a symmetric distance matrix with a zero diagonal, one
     cluster at a time, or None when the largest cluster diameter is zero
@@ -186,7 +172,7 @@ def _best_for_k(
     for run in range(runs_per_k):
         seed = derive_seed(base_seed, k, run)
         centers, labels, iterations, converged = _kmeans_core(
-            coords, weights, k, metric, seed, max_iterations
+            dist, coords, weights, k, metric, seed, max_iterations
         )
         score = _dunn_from_matrix(dist, labels)
         if score is None:

@@ -16,7 +16,13 @@ import pytest
 from mpmath import mp
 
 from sitepick.cli import main
-from sitepick.clustering import _kmeanspp_core, PlanarMetric, kmeans, weighted_center
+from sitepick.clustering import (
+    PlanarMetric,
+    _distance_matrix,
+    _kmeanspp_core,
+    kmeans,
+    weighted_center,
+)
 from sitepick.geo import from_degrees, haversine, haversine_km
 from sitepick.io_pipeline import Quadrant, build_weighted_points, parse_responses
 from sitepick.model_selection import dunn_index, sweep
@@ -95,13 +101,13 @@ def test_criterion_2():
 def test_criterion_3():
     """Second seeding draw follows the squared-distance law (4/5 vs 1/5)."""
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-    metric = PlanarMetric()
+    matrix = _distance_matrix(coords, PlanarMetric())
     target = 100_000
     conditioned = 0
     far = 0
     seed = 0
     while conditioned < target:
-        _, chosen = _kmeanspp_core(coords, 2, metric, SplitMix64(seed))
+        chosen = _kmeanspp_core(matrix, 2, SplitMix64(seed))
         seed += 1
         if chosen[0] == 0:
             conditioned += 1

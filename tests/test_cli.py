@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+import sitepick.cli
 from sitepick.cli import RunConfig, load_config_file, main
-from sitepick.errors import ConfigError
+from sitepick.errors import ConfigError, EmptyClusterError
 from sitepick.io_pipeline import parse_responses
 
 HEADER = (
@@ -152,6 +153,42 @@ def test_cluster_coincident_points_exit_code(tmp_path, capsys):
     assert "degenerate" in capsys.readouterr().err
 
 
+def test_empty_cluster_error_exit_code(tmp_path, capsys, monkeypatch):
+    def lose_a_cluster(*args, **kwargs):
+        raise EmptyClusterError("cluster 1 lost all members")
+
+    monkeypatch.setattr(sitepick.cli, "sweep", lose_a_cluster)
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    assert main(["cluster", str(survey), "-o", str(tmp_path / "o"), "--k", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cluster 1 lost all members")
+    assert not (tmp_path / "o").exists()
+
+
+# Quadrant A sweeps normally; quadrant B is five coincident points, so every
+# run there is degenerate and the sweep fails after A has finished.
+A_THEN_DEGENERATE_B = TWO_REGION_ROWS + [f"q{i},B,CBD,1.3,103.8,1 to 3,5" for i in range(5)]
+
+
+def test_failed_quadrant_writes_no_output_dir(tmp_path, capsys):
+    survey = write_survey(tmp_path, A_THEN_DEGENERATE_B)
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--runs-per-k", "3"]) == 4
+    assert "quadrant A" in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_failed_quadrant_leaves_old_output_untouched(tmp_path):
+    survey = write_survey(tmp_path, A_THEN_DEGENERATE_B)
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--quadrant", "A",
+                 "--runs-per-k", "3"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["sweep", str(survey), "-o", str(out), "--runs-per-k", "3",
+                 "--base-seed", "5"]) == 4
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 # --- sweep ---
 
 
@@ -241,6 +278,29 @@ def test_config_file_bad_value(tmp_path):
     config.write_text("base_seed = soon\n", encoding="utf-8")
     assert main(["sweep", str(survey), "-o", str(tmp_path / "o"),
                  "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--config", "--column-map"])
+def test_missing_key_value_file_is_a_usage_error(tmp_path, capsys, flag):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    missing = tmp_path / "nope.txt"
+    assert main(["sweep", str(survey), "-o", str(tmp_path / "o"), flag, str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ")
+    assert str(missing) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--column-map"])
+def test_non_utf8_key_value_file_is_a_usage_error(tmp_path, capsys, flag):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"base_seed = 1\n# \xff\n")
+    assert main(["sweep", str(survey), "-o", str(tmp_path / "o"), flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err and "not UTF-8 text: byte 0xff" in err
+    assert "Traceback" not in err
 
 
 def test_missing_input_file(tmp_path, capsys):

@@ -7,6 +7,7 @@ no code path with the implementation under test.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from sitepick.clustering import (
     HaversineMetric,
     LongitudeSpanWarning,
     PlanarMetric,
+    _distance_matrix,
     _kmeanspp_core,
+    _repair_empty_clusters,
+    _update_centers,
     kmeans,
     kmeanspp_init,
     objective,
@@ -191,7 +195,130 @@ def test_weighted_center_stays_in_bounding_box(latlon, data):
     assert min(lons) - 1e-12 <= center.lon <= max(lons) + 1e-12
 
 
+def reference_centers(coords, weights, labels, k):
+    """Per-cluster weighted means, one cluster at a time, and whether any
+    cluster spans more than pi of longitude."""
+    centers = np.empty((k, 2))
+    wide = False
+    for j in range(k):
+        members = np.flatnonzero(labels == j)
+        c, w = coords[members], weights[members]
+        wide = wide or (members.size > 1 and float(np.ptp(c[:, 1])) > np.pi)
+        centers[j] = (w[:, None] * c).sum(axis=0) / float(w.sum())
+    return centers, wide
+
+
+def vectorised_centers(coords, weights, labels, k):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        centers = _update_centers(coords, weights, weights[:, None] * coords, labels, k)
+    return centers, any(issubclass(w.category, LongitudeSpanWarning) for w in caught)
+
+
+def same_bits(a, b):
+    """Bitwise equality, telling -0.0 from 0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_angle = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi]),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(_angle, _angle, st.floats(min_value=1e-3, max_value=10.0),
+                  st.integers(0, 7)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_update_centers_is_the_per_cluster_loop(rows):
+    coords = np.array([(lat / 2.0, lon) for lat, lon, _, _ in rows])
+    weights = np.array([w for _, _, w, _ in rows])
+    _, labels = np.unique([c for _, _, _, c in rows], return_inverse=True)
+    k = int(labels.max()) + 1
+    got, got_wide = vectorised_centers(coords, weights, labels, k)
+    want, want_wide = reference_centers(coords, weights, labels, k)
+    assert same_bits(got, want)
+    assert got_wide == want_wide
+
+
+def test_update_centers_is_the_per_cluster_loop_for_large_clusters():
+    # Clusters past numpy's 8- and 128-element pairwise-sum blocks.
+    rng = np.random.default_rng(5)
+    for n, k, lon_limit in itertools.product((9, 130, 700, 2000), (1, 2, 7), (np.pi, 1.0)):
+        coords = np.column_stack(
+            [rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-lon_limit, lon_limit, n)]
+        )
+        weights = rng.uniform(1e-3, 1.0, n)
+        labels = rng.integers(0, k, n)
+        labels[:k] = np.arange(k)
+        got, got_wide = vectorised_centers(coords, weights, labels, k)
+        want, want_wide = reference_centers(coords, weights, labels, k)
+        assert same_bits(got, want)
+        assert got_wide == want_wide
+
+
 # --- seeding ---
+
+
+def whole_sphere_coords(n, seed):
+    rng = np.random.default_rng(seed)
+    points = [
+        from_degrees(lat, lon)
+        for lat, lon in zip(rng.uniform(-90.0, 90.0, n), rng.uniform(-180.0, 180.0, n))
+    ]
+    # Duplicates and antipodes of the first few points.
+    points += points[:4] + [from_degrees(-math.degrees(p.lat), math.degrees(p.lon) + 180.0)
+                            for p in points[:4]]
+    return coords_array(points)
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_distance_matrix_rows_are_metric_columns(metric):
+    coords = whole_sphere_coords(300, seed=8)
+    matrix = _distance_matrix(coords, metric)
+    for i in range(coords.shape[0]):
+        assert np.array_equal(matrix[i], metric.pairwise(coords, coords[i : i + 1])[:, 0])
+
+
+def reference_kmeanspp(coords, k, metric, rng):
+    """k-means++ that computes each chosen center's distance column with the metric."""
+    n = coords.shape[0]
+    nearest = np.full(n, np.inf)
+    probabilities = np.full(n, 1.0 / n)
+    chosen = []
+    for _ in range(k):
+        if probabilities is None:
+            unchosen = sorted(set(range(n)) - set(chosen))
+            idx = unchosen[rng.randrange(len(unchosen))]
+        else:
+            cumulative = np.cumsum(probabilities)
+            u = rng.random() * float(cumulative[-1])
+            idx = min(int(np.searchsorted(cumulative, u, side="right")), n - 1)
+        chosen.append(idx)
+        np.minimum(nearest, metric.pairwise(coords, coords[idx : idx + 1])[:, 0], out=nearest)
+        squared = nearest * nearest
+        total = float(squared.sum())
+        probabilities = squared / total if total > 0.0 else None
+    return chosen
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_kmeanspp_from_matrix_picks_the_reference_indices(metric):
+    coords = whole_sphere_coords(120, seed=9)
+    singapore = coords_array(
+        [from_degrees(1.2 + 0.001 * i, 103.6 + 0.0007 * (i * 7 % 50)) for i in range(80)]
+    )
+    for points in (coords, singapore, np.zeros((5, 2))):
+        matrix = _distance_matrix(points, metric)
+        for seed in range(40):
+            k = 1 + seed % points.shape[0]
+            want = reference_kmeanspp(points, k, metric, SplitMix64(seed))
+            assert _kmeanspp_core(matrix, k, SplitMix64(seed)) == want
 
 
 def test_kmeanspp_single_point():
@@ -224,35 +351,58 @@ def test_kmeanspp_never_repeats_a_coincident_point():
     # probability of landing on the copy of the first pick, so every seeding
     # must cover both locations.
     coords = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    metric = PlanarMetric()
+    matrix = _distance_matrix(coords, PlanarMetric())
     for seed in range(200):
-        _, chosen = _kmeanspp_core(coords, 2, metric, SplitMix64(seed))
+        chosen = _kmeanspp_core(matrix, 2, SplitMix64(seed))
         locations = {tuple(coords[i]) for i in chosen}
         assert len(locations) == 2
 
 
 def test_kmeanspp_all_identical_falls_back_to_uniform():
     coords = np.zeros((4, 2))
+    matrix = _distance_matrix(coords, PlanarMetric())
     for seed in range(50):
-        centers, chosen = _kmeanspp_core(coords, 3, PlanarMetric(), SplitMix64(seed))
+        chosen = _kmeanspp_core(matrix, 3, SplitMix64(seed))
         assert len(set(chosen)) == 3
-        assert np.all(centers == 0.0)
+        assert np.all(coords[chosen] == 0.0)
 
 
 def test_kmeanspp_squared_distance_proportions():
     # Points on a line at 0, 1, 2: conditioned on the first center being the
     # left end, the far end is 4x as likely as the middle (4/5 vs 1/5).
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
-    metric = PlanarMetric()
+    matrix = _distance_matrix(coords, PlanarMetric())
     conditioned = 0
     far = 0
     for seed in range(10_000):
-        _, chosen = _kmeanspp_core(coords, 2, metric, SplitMix64(seed))
+        chosen = _kmeanspp_core(matrix, 2, SplitMix64(seed))
         if chosen[0] == 0:
             conditioned += 1
             far += chosen[1] == 2
     assert conditioned > 2500
     assert far / conditioned == pytest.approx(0.8, abs=0.035)
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_repair_leaves_dist_equal_to_the_metric_on_the_new_centers(metric):
+    coords = whole_sphere_coords(40, seed=10)
+    matrix = _distance_matrix(coords, metric)
+    rng = np.random.default_rng(11)
+    repaired = 0
+    for _ in range(200):
+        k = int(rng.integers(2, 9))
+        # Repeated seed indices tie in the argmin, which empties the later copies.
+        centers = coords[rng.choice(coords.shape[0], size=k, replace=True)]
+        centers[rng.integers(1, k)] = centers[0]
+        dist = metric.pairwise(coords, centers)
+        labels = dist.argmin(axis=1)
+        if np.bincount(labels, minlength=k).min() > 0:
+            continue
+        repaired += 1
+        _repair_empty_clusters(matrix, coords, centers, dist, labels)
+        assert np.array_equal(dist, metric.pairwise(coords, centers))
+        assert np.bincount(labels, minlength=k).min() >= 1
+    assert repaired > 100
 
 
 # --- k-means ---

@@ -12,13 +12,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sitepick.clustering import ClusterAssignment, HaversineMetric, PlanarMetric, kmeans
+from sitepick.clustering import (
+    ClusterAssignment,
+    HaversineMetric,
+    PlanarMetric,
+    _distance_matrix,
+    kmeans,
+)
 from sitepick.errors import DegenerateClusteringError, SweepError, ValidationError
 from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
-    _distance_matrix,
     _pool_size,
     default_k_max,
     dunn_index,
