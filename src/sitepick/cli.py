@@ -14,12 +14,13 @@ determines the run. Exit codes: 0 success, 2 bad configuration or usage
 text, and an output directory that cannot be created or written), 3
 unparseable input (including input that is not UTF-8 text), 4 clustering
 that produced no scoreable partition or lost a cluster. A run that fails
-writes no artifacts: every file is rendered before the first is written.
+writes no artifacts: all go to temp files before any is renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -195,32 +196,35 @@ def _load_column_map(path: "str | None") -> "dict[str, str] | None":
     return _read_key_values(path, "column map")
 
 
-def _read_input(path: str) -> bytes:
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
-
-
 def _parse_survey(
     config: RunConfig, column_map: "dict[str, str] | None"
 ) -> tuple[bytes, ParseResult]:
     assert config.input is not None
-    data = _read_input(config.input)
+    try:
+        data = Path(config.input).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read input {config.input!r}: {exc}") from exc
     parsed = parse_responses(data, column_map=column_map, strict=config.strict)
     for diagnostic in parsed.diagnostics:
         print(f"warning: {diagnostic}", file=sys.stderr)
     return data, parsed
 
 
-def _write(directory: Path, name: str, payload: bytes) -> Path:
-    target = directory / name
+def _write(directory: Path, files: "list[tuple[str, bytes]]") -> None:
+    """Write each (name, payload) to a temp file in directory, then rename them
+    into place in order; a failed write removes the temp files."""
+    temps: list[Path] = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(payload)
+        for name, payload in files:
+            temps.append(directory / f".{name}.{os.getpid()}.tmp")
+            temps[-1].write_bytes(payload)
+        for (name, _), temp in zip(files, temps):
+            os.replace(temp, directory / name)
     except OSError as exc:
-        raise ConfigError(f"cannot write {str(target)!r}: {exc.strerror or exc}") from exc
-    return target
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write into {str(directory)!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
@@ -245,8 +249,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
         auc = reliability_auc([wp.weight for wp in weighted])
         summary.append(f"{letter},{quadrant.label},{len(weighted)},{auc:.12f}")
         print(f"quadrant {letter} ({quadrant.label}): n={len(weighted)} auc={auc:.4f}")
-    _write(out_dir, "weights.csv", ("\n".join(lines) + "\n").encode("utf-8"))
-    _write(out_dir, "auc_summary.csv", ("\n".join(summary) + "\n").encode("utf-8"))
+    tables = (("weights.csv", lines), ("auc_summary.csv", summary))
+    _write(out_dir, [(name, ("\n".join(rows) + "\n").encode("utf-8")) for name, rows in tables])
     return 0
 
 
@@ -297,6 +301,9 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             workers=config.workers,
         )
         best = swept.best
+        if not best.result.converged:
+            print(f"warning: quadrant {letter}: best run at k={best.k} stopped at "
+                  f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
         representatives = select_representatives(
             points, best.result.assignment, list(best.result.centers), metric
         )
@@ -329,8 +336,7 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         )
     if not manifest.quadrants:
         raise ConfigError("no selected quadrant had any responses")
-    for name, payload in artifacts + [("manifest.json", manifest.to_json())]:
-        _write(out_dir, name, payload)
+    _write(out_dir, artifacts + [("manifest.json", manifest.to_json())])
     return 0
 
 
@@ -357,7 +363,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     payload = synthetic_csv(spec)
-    target = _write(Path(args.output).parent, Path(args.output).name, payload)
+    target = Path(args.output)
+    _write(target.parent, [(target.name, payload)])
     rows = payload.count(b"\n") - 1
     print(f"wrote {rows} synthetic responses to {target}")
     return 0

@@ -2,10 +2,12 @@
 
 Centers are seeded with k-means++ (selection probability proportional to
 squared distance from the nearest chosen center) and updated as weighted
-per-coordinate means of (lat, lon) in radians. Assignment uses the plain
-metric distance; weights enter only the centroid update and the reported
-objective. The whole computation is a pure function of its inputs and the
-seed, so identical calls produce bit-identical results.
+per-coordinate means of (lat, lon) in radians. Each point is assigned to
+its metric-nearest center (`DistanceMetric.assign`); the haversine metric
+finds it from unit-vector dot products and recomputes true distances only
+for near-ties, with the same result. Weights enter only the centroid update
+and the reported objective. The whole computation is a pure function of its
+inputs and the seed, so identical calls produce bit-identical results.
 
 Seeding and empty-cluster repair only ever need distances from data points
 to data points, so they read rows of the full pairwise matrix
@@ -33,6 +35,19 @@ DEFAULT_MAX_ITERATIONS = 300
 _MATRIX_BLOCK_ROWS = 256
 
 
+# Absolute margin on unit-vector dot products within which two centers count
+# as tied for nearest; HaversineMetric.assign derives why it is safe.
+_DOT_TIE_MARGIN = 1e-13
+
+
+def _unit_vectors(coords: np.ndarray) -> np.ndarray:
+    """(n, 3) points on the unit sphere for an (n, 2) [lat, lon] radian array."""
+    cos_lat = np.cos(coords[:, 0])
+    return np.column_stack(
+        [cos_lat * np.cos(coords[:, 1]), cos_lat * np.sin(coords[:, 1]), np.sin(coords[:, 0])]
+    )
+
+
 class LongitudeSpanWarning(UserWarning):
     """A cluster spans more than pi radians of longitude; the coordinate mean
     of such a cluster is unreliable near the antimeridian."""
@@ -49,8 +64,9 @@ class DistanceMetric(ABC):
     def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row-aligned distances for two (n, 2) coordinate arrays."""
 
-    def distance(self, p: GeoPoint, q: GeoPoint) -> float:
-        return float(self.between(coords_array([p]), coords_array([q]))[0])
+    def assign(self, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Index of each point's nearest center, ties to the lowest index."""
+        return self.pairwise(coords, centers).argmin(axis=1)
 
 
 @dataclass(frozen=True)
@@ -67,6 +83,48 @@ class HaversineMetric(DistanceMetric):
 
     def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1], radius_km=self.earth.radius_km)
+
+    def assign(self, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
+        """Nearest center of each point, equal to `pairwise(...).argmin(axis=1)`.
+
+        The great-circle angle falls as cos(angle) = dot of the unit vectors
+        rises, so the nearest center is the argmax of D = U @ C.T. A row is
+        recomputed by `pairwise`, whose argmin breaks ties to the lowest
+        index, when a second center's dot lies within T = _DOT_TIE_MARGIN of
+        the row's best, or when the best dot is negative (nearest center over
+        90 degrees away). Every other row has one center j with D_j >= 0 and
+        D_i < D_j - T for all i != j, and haversine ranks j strictly first:
+
+        - Dot rounding. With u = 2**-53, each unit-vector component is a
+          product of at most two rounded sines and cosines, and the dot adds
+          three rounded terms, so |D_i - cos(angle_i)| <= eps_dot <= 10u,
+          about 1.1e-15.
+        - Angle gap. D_j - D_i > T gives cos(angle_j) - cos(angle_i) >
+          T - 2*eps_dot, and |d cos(a)/da| = |sin(a)| <= 1, so
+          angle_i - angle_j > T - 2*eps_dot too, about 1e-13.
+        - Haversine rounding. h = sin^2(dlat/2) + cos*cos*sin^2(dlon/2) is
+          a sum of two non-negative terms, so it carries a relative error
+          of a few u. Up to 90 degrees, 1 - h >= 1/2 keeps that relative
+          too, and atan2(sqrt(h), sqrt(1 - h)) is within a few ulp of pi/2
+          of the exact half angle: eps_hav ~ 1e-15 on the distance in
+          radians. D_j >= 0 puts the winner there (to within eps_dot).
+          Beyond 90 degrees 1 - h cancels and the angle can be off by
+          sqrt(u) ~ 1e-8, which is why those rows fall back.
+        - Result. A loser up to 90 degrees (+ T) comes out at least
+          T - 2*eps_dot - 2*eps_hav > 0.9 T farther than j; one beyond has
+          h > 1/2 + T/4, so it comes out past 90 degrees by about T/2, while
+          j is at most eps_dot + eps_hav past it. The margin is ~50x the
+          rounding, and scaling by the radius is monotone, so the distance
+          argmin is j and unique.
+        """
+        dots = _unit_vectors(coords) @ _unit_vectors(centers).T
+        labels = dots.argmax(axis=1)
+        best = dots[np.arange(labels.size), labels]
+        near_tie = np.count_nonzero(dots >= (best - _DOT_TIE_MARGIN)[:, None], axis=1) > 1
+        rows = np.flatnonzero(near_tie | (best < 0.0))
+        if rows.size:
+            labels[rows] = self.pairwise(coords[rows], centers).argmin(axis=1)
+        return labels
 
 
 @dataclass(frozen=True)
@@ -151,21 +209,15 @@ def weighted_center(points: "list[GeoPoint]", weights: "list[float]") -> GeoPoin
 
 
 def kmeanspp_init(
-    points: "list[GeoPoint]",
-    weights: "list[float] | None",
-    k: int,
-    metric: DistanceMetric,
-    rng: SplitMix64,
+    points: "list[GeoPoint]", k: int, metric: DistanceMetric, rng: SplitMix64
 ) -> "list[GeoPoint]":
     """Draw k initial centers, spaced out proportionally to squared distance.
 
     The first center is uniform over the points; each later center is drawn
     with probability r_j^2 / sum(r^2) where r_j is point j's distance to its
-    nearest already-chosen center. Weights are accepted for signature parity
-    but play no role in seeding. Builds the full pairwise distance matrix,
-    8 * n^2 bytes (18 MB at n = 1500).
+    nearest already-chosen center. Weights play no role in seeding. Builds
+    the full pairwise distance matrix, 8 * n^2 bytes (18 MB at n = 1500).
     """
-    del weights
     if len(points) == 0:
         raise ValidationError("cannot seed centers from an empty point set")
     if not 1 <= k <= len(points):
@@ -313,12 +365,12 @@ def _kmeans_core(
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        dist = metric.pairwise(coords, centers)
-        new_labels = dist.argmin(axis=1)
+        new_labels = metric.assign(coords, centers)
         # Any repair (center relocation or pinned label) makes this pass
         # incomparable with the previous one, so it cannot declare convergence.
         repaired = int(np.bincount(new_labels, minlength=k).min()) == 0
         if repaired:
+            dist = metric.pairwise(coords, centers)
             _repair_empty_clusters(matrix, coords, centers, dist, new_labels)
         if labels is not None and not repaired and np.array_equal(new_labels, labels):
             converged = True

@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import errno
 import json
+import pathlib
 
 import pytest
 
@@ -187,6 +189,50 @@ def test_failed_quadrant_leaves_old_output_untouched(tmp_path):
     assert main(["sweep", str(survey), "-o", str(out), "--runs-per-k", "3",
                  "--base-seed", "5"]) == 4
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_failed_write_leaves_old_output_untouched(tmp_path, monkeypatch, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--quadrant", "A",
+                 "--runs-per-k", "3"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    write_bytes = pathlib.Path.write_bytes
+    calls = []
+
+    def full_on_second_file(self, data):
+        calls.append(self.name)
+        if len(calls) == 2:
+            write_bytes(self, data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write_bytes(self, data)
+
+    monkeypatch.setattr(pathlib.Path, "write_bytes", full_on_second_file)
+    assert main(["sweep", str(survey), "-o", str(out), "--quadrant", "A", "--runs-per-k", "3",
+                 "--base-seed", "5"]) == 2
+    assert len(calls) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_best_run_that_did_not_converge_is_reported(tmp_path, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--quadrant", "A",
+                 "--runs-per-k", "3"]) == 0
+    assert "without converging" not in capsys.readouterr().err
+    artifacts = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["sweep", str(survey), "-o", str(out), "--quadrant", "A", "--runs-per-k", "3",
+                 "--max-iterations", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: quadrant A: best run at k=2 stopped at max_iterations=1 without converging"
+    ]
+    # The warning goes to stderr only; the manifest records the cap as before.
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["max_iterations"] == 1
+    assert "converg" not in (out / "manifest.json").read_text(encoding="utf-8")
+    assert set(artifacts) == {path.name for path in out.iterdir()}
 
 
 # --- sweep ---

@@ -86,7 +86,8 @@ def test_haversine_metric_matches_scalar():
 def test_haversine_metric_scales_with_radius():
     small = HaversineMetric(earth=EarthModel(radius_km=1.0))
     p, q = GROUPED_POINTS[0], GROUPED_POINTS[3]
-    assert small.distance(p, q) * 6371.0 == pytest.approx(haversine(p, q), rel=1e-12)
+    distance = small.between(coords_array([p]), coords_array([q]))[0]
+    assert distance * 6371.0 == pytest.approx(haversine(p, q), rel=1e-12)
 
 
 def test_planar_metric_matches_cdist():
@@ -102,7 +103,109 @@ def test_planar_metric_matches_cdist():
 
 def test_metric_scalar_wrapper():
     p, q = GROUPED_POINTS[0], GROUPED_POINTS[5]
-    assert HaversineMetric().distance(p, q) == pytest.approx(haversine(p, q), abs=1e-12)
+    distance = HaversineMetric().between(coords_array([p]), coords_array([q]))[0]
+    assert distance == pytest.approx(haversine(p, q), abs=1e-12)
+
+
+# --- nearest-center assignment ---
+
+_sphere_point = st.tuples(st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+                          st.floats(min_value=-math.pi, max_value=math.pi))
+
+
+def _antipode(point):
+    lat, lon = point
+    return (-lat, lon - math.copysign(math.pi, lon))
+
+
+@st.composite
+def _assignment_cases(draw):
+    """Points and centers over the whole sphere or packed within 1e-6 degrees,
+    with exact ties mixed in: duplicate centers, centers on points, coincident
+    points, and antipodes of centers as centers and as points."""
+    if draw(st.booleans()):
+        point = _sphere_point
+    else:
+        lat0, lon0 = draw(_sphere_point)
+        tiny = st.floats(min_value=-math.radians(1e-6), max_value=math.radians(1e-6))
+        point = st.builds(
+            lambda a, b: (min(max(lat0 + a, -math.pi / 2), math.pi / 2), lon0 + b), tiny, tiny
+        )
+    points = draw(st.lists(point, min_size=1, max_size=30))
+    centers = draw(st.lists(point, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["duplicate", "on_point", "antipode", "coincident"]))
+        center = centers[draw(st.integers(0, len(centers) - 1))]
+        point = points[draw(st.integers(0, len(points) - 1))]
+        if kind == "duplicate":
+            centers.insert(draw(st.integers(0, len(centers))), center)
+        elif kind == "on_point":
+            centers.insert(draw(st.integers(0, len(centers))), point)
+        elif kind == "antipode":
+            centers.insert(draw(st.integers(0, len(centers))), _antipode(center))
+            points.append(_antipode(center))
+        else:
+            points.insert(draw(st.integers(0, len(points))), point)
+    return np.array(points, dtype=np.float64), np.array(centers, dtype=np.float64)
+
+
+@settings(max_examples=300)
+@given(_assignment_cases())
+def test_haversine_assign_is_the_pairwise_argmin(case):
+    points, centers = case
+    metric = HaversineMetric()
+    want = metric.pairwise(points, centers).argmin(axis=1)
+    assert np.array_equal(metric.assign(points, centers), want)
+
+
+def _assign_recording_fallback(monkeypatch, points, centers):
+    """HaversineMetric().assign(points, centers) and the rows it recomputed."""
+    recomputed = []
+    pairwise = HaversineMetric.pairwise
+
+    def recording(self, a, b):
+        recomputed.append(a.copy())
+        return pairwise(self, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HaversineMetric, "pairwise", recording)
+        labels = HaversineMetric().assign(points, centers)
+    assert len(recomputed) <= 1
+    return labels, recomputed[0] if recomputed else points[:0]
+
+
+def test_haversine_assign_falls_back_on_duplicate_centers(monkeypatch):
+    rng = np.random.default_rng(8)
+    points = np.column_stack([rng.uniform(0.02, 0.03, 40), rng.uniform(1.81, 1.82, 40)])
+    centers = points[[0, 5, 9, 5]]  # centers 1 and 3 are the same point
+    labels, recomputed = _assign_recording_fallback(monkeypatch, points, centers)
+    want = HaversineMetric().pairwise(points, centers).argmin(axis=1)
+    assert np.array_equal(labels, want)
+    # Every point nearest to the duplicated center ties exactly, so it is
+    # recomputed, and the tie goes to the lower index.
+    tied = np.flatnonzero(want == 1)
+    assert tied.size > 1 and not np.any(want == 3)
+    assert np.array_equal(recomputed, points[tied])
+
+
+def test_haversine_assign_falls_back_beyond_90_degrees(monkeypatch):
+    rng = np.random.default_rng(10)
+    near = np.column_stack([rng.uniform(0.0, 0.1, 10), rng.uniform(0.0, 0.1, 10)])
+    far = np.column_stack([rng.uniform(-0.1, 0.0, 5), rng.uniform(-3.1, -3.0, 5)])
+    centers = np.array([[0.05, 0.05], [0.06, 0.04]])
+    points = np.vstack([near, far])
+    labels, recomputed = _assign_recording_fallback(monkeypatch, points, centers)
+    assert np.array_equal(labels, HaversineMetric().pairwise(points, centers).argmin(axis=1))
+    assert np.array_equal(recomputed, far)
+
+
+def test_planar_assign_is_the_plain_argmin():
+    rng = np.random.default_rng(9)
+    points = rng.uniform(-1.0, 1.0, size=(200, 2))
+    centers = np.vstack([points[:6], points[2:4], rng.uniform(-1.0, 1.0, size=(3, 2))])
+    metric = PlanarMetric()
+    want = metric.pairwise(points, centers).argmin(axis=1)
+    assert np.array_equal(metric.assign(points, centers), want)
 
 
 # --- assignment container ---
@@ -323,13 +426,13 @@ def test_kmeanspp_from_matrix_picks_the_reference_indices(metric):
 
 def test_kmeanspp_single_point():
     point = GROUPED_POINTS[0]
-    centers = kmeanspp_init([point], None, 1, HaversineMetric(), SplitMix64(3))
+    centers = kmeanspp_init([point], 1, HaversineMetric(), SplitMix64(3))
     assert centers == [point]
 
 
 def test_kmeanspp_centers_are_input_points():
     rng = SplitMix64(11)
-    centers = kmeanspp_init(GROUPED_POINTS, GROUPED_WEIGHTS, 3, HaversineMetric(), rng)
+    centers = kmeanspp_init(GROUPED_POINTS, 3, HaversineMetric(), rng)
     assert len(centers) == 3
     pool = {(p.lat, p.lon) for p in GROUPED_POINTS}
     for center in centers:
@@ -339,11 +442,11 @@ def test_kmeanspp_centers_are_input_points():
 def test_kmeanspp_rejects_bad_k():
     metric = HaversineMetric()
     with pytest.raises(ValidationError):
-        kmeanspp_init(GROUPED_POINTS, None, 0, metric, SplitMix64(0))
+        kmeanspp_init(GROUPED_POINTS, 0, metric, SplitMix64(0))
     with pytest.raises(ValidationError):
-        kmeanspp_init(GROUPED_POINTS, None, 7, metric, SplitMix64(0))
+        kmeanspp_init(GROUPED_POINTS, 7, metric, SplitMix64(0))
     with pytest.raises(ValidationError):
-        kmeanspp_init([], None, 1, metric, SplitMix64(0))
+        kmeanspp_init([], 1, metric, SplitMix64(0))
 
 
 def test_kmeanspp_never_repeats_a_coincident_point():
