@@ -1,4 +1,5 @@
-"""Golden digests of every `sitepick sweep` artifact.
+"""Golden digests of every `sitepick sweep` artifact, and of the `weights`
+and `cluster --k 3` artifacts of the serial survey.
 
 Two small fixed synthetic surveys are swept through the CLI, one serially
 and one with a two-process pool, and the sha256 of each artifact is compared
@@ -48,6 +49,31 @@ CASES = {
 }
 
 
+# Further subcommands over the "serial" survey and flags: (argv after the
+# input path, expected digests).
+SERIAL_COMMANDS = {
+    "weights": (
+        ["weights"],
+        {
+            "auc_summary.csv": "be0d8c3a0250b0aa1ce19eee5f43c88e6de3146f5f44a31185787f993a018faf",
+            "weights.csv": "f23dbec2759631698116eb9c3b6dfd1020ee75450793111e547aeb92028de19d",
+        },
+    ),
+    "cluster": (
+        ["cluster", "--k", "3"],
+        {
+            "clusters_A.geojson": "08c9bd896f060252452e7d675a9fb0a48b08e64163a1934a349b10eb775361cd",
+            "clusters_B.geojson": "d82879b5ffebd371fd50e2aabf64b99602f1787c8d6db649bd2a6439da1f45d8",
+            "dunn_curve_A.csv": "09be9e9a706b345dd5cf14a618397e18633607f7b6557c6a0dd6d34eea8aa7c6",
+            "dunn_curve_B.csv": "e5c72e032d038754720d63de4751551756a91232249c9ba75331a1a7ef73dc6e",
+            "manifest.json": "d30ccf03db6c26572f7e066c9c3b31dd88a7372de8df184ce876ece1da75652d",
+            "sites_A.csv": "98dcc2ee3238719a29c4e99a303bbb7a3674fee2908dcd49ace1026cfec02b40",
+            "sites_B.csv": "e3619c6e09e0915bae2a58741488505140aa7dd2d8464f5a7cda10c24eae564e",
+        },
+    ),
+}
+
+
 def digests(directory):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -62,4 +88,15 @@ def test_sweep_artifact_digests(tmp_path, name):
     survey.write_bytes(synthetic_csv(spec))
     out = tmp_path / "out"
     assert main(["sweep", str(survey), "-o", str(out)] + flags) == 0
+    assert digests(out) == expected
+
+
+@pytest.mark.parametrize("command", sorted(SERIAL_COMMANDS))
+def test_serial_command_artifact_digests(tmp_path, command):
+    spec, flags, _ = CASES["serial"]
+    argv, expected = SERIAL_COMMANDS[command]
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(synthetic_csv(spec))
+    out = tmp_path / "out"
+    assert main([argv[0], str(survey), "-o", str(out)] + argv[1:] + flags) == 0
     assert digests(out) == expected
