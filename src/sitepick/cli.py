@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .clustering import DEFAULT_MAX_ITERATIONS, HaversineMetric
+from .clustering import DEFAULT_MAX_ITERATIONS, ClusterAssignment, HaversineMetric
 from .errors import (
     ConfigError,
     DegenerateClusteringError,
@@ -49,7 +49,6 @@ from .io_pipeline import (
     parse_key_values,
     parse_responses,
     sha256_digest,
-    source_points,
 )
 from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep
 from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
@@ -235,20 +234,20 @@ def cmd_weights(args: argparse.Namespace) -> int:
     summary = ["quadrant,label,n_points,auc"]
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
-        weighted = build_weighted_points(parsed.responses, quadrant)
-        for wp in weighted:
-            response = parsed.responses[wp.source_index]
+        points = build_weighted_points(parsed.responses, quadrant)
+        for response, weight in zip(points.responses, points.weights.tolist()):
             factor = frequency_weight(response.visit_count_category)
             lines.append(
                 f"{response.row},{response.participant_id},{letter},{response.region},"
-                f"{factor},{response.avg_duration_min:.6f},{wp.weight:.12f}"
+                f"{factor},{response.avg_duration_min:.6f},{weight:.12f}"
             )
-        if not weighted:
+        n = len(points.responses)
+        if not n:
             print(f"quadrant {letter} ({quadrant.label}): no responses", file=sys.stderr)
             continue
-        auc = reliability_auc([wp.weight for wp in weighted])
-        summary.append(f"{letter},{quadrant.label},{len(weighted)},{auc:.12f}")
-        print(f"quadrant {letter} ({quadrant.label}): n={len(weighted)} auc={auc:.4f}")
+        auc = reliability_auc(points.weights)
+        summary.append(f"{letter},{quadrant.label},{n},{auc:.12f}")
+        print(f"quadrant {letter} ({quadrant.label}): n={n} auc={auc:.4f}")
     tables = (("weights.csv", lines), ("auc_summary.csv", summary))
     _write(out_dir, [(name, ("\n".join(rows) + "\n").encode("utf-8")) for name, rows in tables])
     return 0
@@ -278,21 +277,20 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     artifacts: list[tuple[str, bytes]] = []
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
-        weighted = build_weighted_points(parsed.responses, quadrant)
-        if not weighted:
+        points = build_weighted_points(parsed.responses, quadrant)
+        n = len(points.responses)
+        if not n:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
-        points = [wp.point for wp in weighted]
-        weights = [wp.weight for wp in weighted]
-        auc = reliability_auc(weights)
+        auc = reliability_auc(points.weights)
         if fixed_k is not None:
             k_range: Sequence[int] = [fixed_k]
         else:
-            k_top = config.k_max if config.k_max is not None else default_k_max(len(weighted))
+            k_top = config.k_max if config.k_max is not None else default_k_max(n)
             k_range = range(config.k_min, k_top + 1)
         swept = sweep(
-            points,
-            weights,
+            points.coords,
+            points.weights,
             k_range=k_range,
             runs_per_k=config.runs_per_k,
             base_seed=config.base_seed,
@@ -301,27 +299,23 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             workers=config.workers,
         )
         best = swept.best
-        if not best.result.converged:
+        if not best.converged:
             print(f"warning: quadrant {letter}: best run at k={best.k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
         representatives = select_representatives(
-            points, best.result.assignment, list(best.result.centers), metric
+            points.coords, ClusterAssignment(best.labels, best.k), best.centers, metric
         )
         report = assign_site_ids(
-            representatives,
-            quadrant.letter,
-            source_points(parsed.responses, weighted),
-            region_order=config.region_order,
+            representatives, quadrant.letter, points.responses, region_order=config.region_order
         )
         artifacts += [
-            (f"clusters_{letter}.geojson",
-             export_geojson(weighted, parsed.responses, best.result, report)),
+            (f"clusters_{letter}.geojson", export_geojson(points, best, report)),
             (f"sites_{letter}.csv", export_site_table(report)),
             (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
         ]
         manifest.quadrants[letter] = QuadrantSummary(
             label=quadrant.label,
-            n_points=len(weighted),
+            n_points=n,
             auc=auc,
             k_max=max(swept.k_range),
             optimal_k=swept.optimal_k,
@@ -331,7 +325,7 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             sites=len(report.records),
         )
         print(
-            f"quadrant {letter} ({quadrant.label}): n={len(weighted)} auc={auc:.4f} "
+            f"quadrant {letter} ({quadrant.label}): n={n} auc={auc:.4f} "
             f"k={swept.optimal_k} dunn={best.dunn.value:.4f} sites={len(report.records)}"
         )
     if not manifest.quadrants:

@@ -2,7 +2,9 @@
 
 Centers are seeded with k-means++ (selection probability proportional to
 squared distance from the nearest chosen center) and updated as weighted
-per-coordinate means of (lat, lon) in radians. Each point is assigned to
+per-coordinate means of (lat, lon) in radians, with each longitude first
+unwrapped to within pi of its cluster's lowest-index member so a cluster
+across the antimeridian is averaged there. Each point is assigned to
 its metric-nearest center (`DistanceMetric.assign`); the haversine metric
 finds it from unit-vector dot products and recomputes true distances only
 for near-ties, with the same result. Weights enter only the centroid update
@@ -18,7 +20,6 @@ metric call would return.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -46,11 +47,6 @@ def _unit_vectors(coords: np.ndarray) -> np.ndarray:
     return np.column_stack(
         [cos_lat * np.cos(coords[:, 1]), cos_lat * np.sin(coords[:, 1]), np.sin(coords[:, 0])]
     )
-
-
-class LongitudeSpanWarning(UserWarning):
-    """A cluster spans more than pi radians of longitude; the coordinate mean
-    of such a cluster is unreliable near the antimeridian."""
 
 
 class DistanceMetric(ABC):
@@ -315,11 +311,13 @@ def _update_centers(
 ) -> np.ndarray:
     """Weighted per-coordinate mean of every cluster, in one pass.
 
-    `weighted` is weights[:, None] * coords. The results are bitwise those
-    of summing each cluster's own slice: bincount adds a cluster's weighted
-    coordinates in ascending point order, as a sum over axis 0 does, and the
-    weight totals keep numpy's pairwise sum over each cluster's contiguous
-    run of the stably sorted weights.
+    `weighted` is weights[:, None] * coords. A longitude more than pi from
+    its cluster's lowest-index member moves by 2 pi toward it, and each mean
+    longitude is folded into (-pi, pi]; other rows keep their bits. The
+    results are bitwise those of summing each cluster's own slice: bincount
+    adds a cluster's weighted coordinates in ascending point order, as a sum
+    over axis 0 does, and the weight totals keep numpy's pairwise sum over
+    each cluster's contiguous run of the stably sorted weights.
     """
     counts = np.bincount(labels, minlength=k)
     if not counts.all():
@@ -334,19 +332,17 @@ def _update_centers(
     positive = totals > 0.0
     if not positive.all():
         raise ValidationError(f"sum of weights must be positive, got {totals[~positive][0]}")
-    lon = coords[order, 1]
-    span = np.maximum.reduceat(lon, starts) - np.minimum.reduceat(lon, starts)
-    if (span > np.pi).any():
-        warnings.warn(
-            "cluster spans more than pi radians of longitude; the coordinate "
-            "mean does not account for antimeridian wrap-around",
-            LongitudeSpanWarning,
-            stacklevel=2,
-        )
+    offset = coords[:, 1] - coords[order[starts], 1][labels]
+    unwrapped = coords[:, 1] - np.copysign(2.0 * np.pi, offset)
+    weighted_lon = np.where(np.abs(offset) > np.pi, weights * unwrapped, weighted[:, 1])
     sums = np.column_stack(
-        [np.bincount(labels, weights=weighted[:, c], minlength=k) for c in range(2)]
+        [np.bincount(labels, weights=col, minlength=k) for col in (weighted[:, 0], weighted_lon)]
     )
-    return sums / totals[:, None]
+    centers = sums / totals[:, None]
+    lon = centers[:, 1]
+    lon[lon > np.pi] -= 2.0 * np.pi
+    lon[lon <= -np.pi] += 2.0 * np.pi
+    return centers
 
 
 def _kmeans_core(

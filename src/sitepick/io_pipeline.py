@@ -2,6 +2,8 @@
 
 Parsing is diagnostic-first: a malformed row is reported with its row number
 and column and skipped, it never aborts the run unless strict mode is on.
+Each quadrant's points are one QuadrantPoints, built once and read by the
+sweep, site selection and every export.
 Exporters render floats themselves (fixed decimal places) so artifacts are
 byte-identical across reruns, platforms and worker counts; json.dumps float
 formatting is avoided everywhere coordinates appear.
@@ -18,12 +20,13 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from .clustering import ClusteringResult
+import numpy as np
+
 from .errors import ParseError, ConfigError, ValidationError
-from .geo import from_degrees
-from .model_selection import SweepResult
-from .sites import SiteReport, SourcePoint
-from .weighting import FrequencyCategory, WeightedPoint, frequency_weight, reliability_weight
+from .geo import coords_array, from_degrees
+from .model_selection import KBest, SweepResult
+from .sites import SiteReport
+from .weighting import FrequencyCategory, frequency_weight, reliability_weight
 
 
 class Quadrant(enum.Enum):
@@ -289,42 +292,32 @@ def parse_responses(
     return ParseResult(responses=responses, diagnostics=diagnostics, total_rows=total)
 
 
+@dataclass(frozen=True, eq=False)
+class QuadrantPoints:
+    """One quadrant's accepted responses in input order, with the aligned
+    (n, 2) [lat, lon] radian coordinates and float64 reliability weights
+    that clustering reads. Exports take degrees, regions and source rows
+    from the responses, so they never round-trip through radians."""
+
+    responses: tuple[SurveyResponse, ...]
+    coords: np.ndarray
+    weights: np.ndarray
+
+
 def build_weighted_points(
     responses: Sequence[SurveyResponse], quadrant: Quadrant
-) -> "list[WeightedPoint]":
-    """Weighted points for one quadrant, preserving response order. Each
-    point's source_index refers back into the full responses sequence."""
-    weighted: list[WeightedPoint] = []
-    for index, response in enumerate(responses):
-        if response.quadrant is not quadrant:
-            continue
-        factor = frequency_weight(response.visit_count_category)
-        weighted.append(
-            WeightedPoint(
-                point=from_degrees(response.lat_deg, response.lon_deg),
-                weight=reliability_weight(factor, response.avg_duration_min),
-                source_index=index,
-            )
-        )
-    return weighted
-
-
-def source_points(
-    responses: Sequence[SurveyResponse], weighted: Sequence[WeightedPoint]
-) -> "list[SourcePoint]":
-    """Degree-exact provenance records aligned with a weighted point list."""
-    out: list[SourcePoint] = []
-    for wp in weighted:
-        response = responses[wp.source_index]
-        out.append(
-            SourcePoint(
-                lat_deg=response.lat_deg,
-                lon_deg=response.lon_deg,
-                region=response.region,
-                source_row=response.row,
-            )
-        )
-    return out
+) -> QuadrantPoints:
+    """The quadrant's responses, coordinates and weights, in response order."""
+    chosen = tuple(r for r in responses if r.quadrant is quadrant)
+    weights = [
+        reliability_weight(frequency_weight(r.visit_count_category), r.avg_duration_min)
+        for r in chosen
+    ]
+    return QuadrantPoints(
+        responses=chosen,
+        coords=coords_array([from_degrees(r.lat_deg, r.lon_deg) for r in chosen]),
+        weights=np.array(weights, dtype=np.float64),
+    )
 
 
 def sha256_digest(data: bytes) -> str:
@@ -348,28 +341,20 @@ def _feature(lon_deg: float, lat_deg: float, properties: "list[tuple[str, str]]"
     )
 
 
-def export_geojson(
-    weighted: Sequence[WeightedPoint],
-    responses: Sequence[SurveyResponse],
-    result: ClusteringResult,
-    report: SiteReport,
-) -> bytes:
+def export_geojson(points: QuadrantPoints, best: KBest, report: SiteReport) -> bytes:
     """One FeatureCollection holding responses, centers and sites.
 
     Coordinates are [lon, lat] in degrees with 12 fixed decimal places.
     Response features carry their original parsed degrees; only center
     features are converted from radians, since centers exist nowhere else.
     """
-    labels = result.assignment.labels
-    if len(weighted) != labels.size:
-        raise ValidationError(f"{len(weighted)} weighted points but {labels.size} labels")
-    if len(report.records) != result.assignment.k:
-        raise ValidationError(
-            f"site report has {len(report.records)} records for k={result.assignment.k}"
-        )
+    labels = best.labels
+    if len(points.responses) != labels.size:
+        raise ValidationError(f"{len(points.responses)} points but {labels.size} labels")
+    if len(report.records) != best.k:
+        raise ValidationError(f"site report has {len(report.records)} records for k={best.k}")
     features: list[str] = []
-    for index, wp in enumerate(weighted):
-        response = responses[wp.source_index]
+    for index, (response, weight) in enumerate(zip(points.responses, points.weights.tolist())):
         features.append(
             _feature(
                 response.lon_deg,
@@ -377,17 +362,17 @@ def export_geojson(
                 [
                     ("role", json.dumps("response")),
                     ("cluster", str(int(labels[index]))),
-                    ("weight", _fixed(wp.weight)),
+                    ("weight", _fixed(weight)),
                     ("region", json.dumps(response.region)),
                     ("source_row", str(response.row)),
                 ],
             )
         )
-    for cluster, center in enumerate(result.centers):
+    for cluster, (lat, lon) in enumerate(best.centers.tolist()):
         features.append(
             _feature(
-                math.degrees(center.lon),
-                math.degrees(center.lat),
+                math.degrees(lon),
+                math.degrees(lat),
                 [("role", json.dumps("center")), ("cluster", str(cluster))],
             )
         )

@@ -4,9 +4,10 @@ cluster diameter; higher is better).
 
 For every candidate k the sweep reruns k-means from many seeded starts and
 keeps the run with the highest Dunn index, then picks the k whose best run
-scores highest overall. Seeds for each (k, run) cell are derived
-independently from the base seed, so results do not depend on execution
-order and the sweep can fan out across processes.
+scores highest overall. Each k's winner is one KBest, built where the run
+was scored. Seeds for each (k, run) cell are derived independently from the
+base seed, so results do not depend on execution order and the sweep can
+fan out across processes.
 
 Memory model: every (k, run) cell reads the same pairwise distance matrix
 (for k-means++ seeding, empty-cluster repair and Dunn scoring), so it is
@@ -31,12 +32,10 @@ import numpy as np
 
 from .clustering import (
     ClusterAssignment,
-    ClusteringResult,
     DistanceMetric,
     HaversineMetric,
     _distance_matrix,
     _kmeans_core,
-    _objective_core,
     _validate_weights,
     DEFAULT_MAX_ITERATIONS,
 )
@@ -58,12 +57,17 @@ class DunnScore:
 
 @dataclass(frozen=True, eq=False)
 class KBest:
-    """The best-scoring run for one candidate k."""
+    """The best-scoring run for one candidate k: its (k, 2) [lat, lon] radian
+    centers, per-point labels in [0, k), and Dunn score. Pool workers return
+    it as built."""
 
     k: int
     run_index: int
     seed: int
-    result: ClusteringResult
+    centers: np.ndarray
+    labels: np.ndarray
+    iterations: int
+    converged: bool
     dunn: DunnScore
 
 
@@ -142,22 +146,6 @@ def _dunn_from_matrix(dist: np.ndarray, labels: np.ndarray) -> DunnScore | None:
     return DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
 
 
-@dataclass(frozen=True)
-class _RawBest:
-    """Picklable best-of-k summary produced by a (possibly remote) worker."""
-
-    k: int
-    run_index: int
-    seed: int
-    centers: np.ndarray
-    labels: np.ndarray
-    iterations: int
-    converged: bool
-    value: float
-    min_inter_km: float
-    max_intra_km: float
-
-
 def _best_for_k(
     dist: np.ndarray,
     coords: np.ndarray,
@@ -167,8 +155,8 @@ def _best_for_k(
     metric: DistanceMetric,
     max_iterations: int,
     k: int,
-) -> Optional[_RawBest]:
-    best: Optional[_RawBest] = None
+) -> Optional[KBest]:
+    best: Optional[KBest] = None
     for run in range(runs_per_k):
         seed = derive_seed(base_seed, k, run)
         centers, labels, iterations, converged = _kmeans_core(
@@ -177,19 +165,8 @@ def _best_for_k(
         score = _dunn_from_matrix(dist, labels)
         if score is None:
             continue
-        if best is None or score.value > best.value:
-            best = _RawBest(
-                k=k,
-                run_index=run,
-                seed=seed,
-                centers=centers,
-                labels=labels,
-                iterations=iterations,
-                converged=converged,
-                value=score.value,
-                min_inter_km=score.min_inter_km,
-                max_intra_km=score.max_intra_km,
-            )
+        if best is None or score.value > best.dunn.value:
+            best = KBest(k, run, seed, centers, labels, iterations, converged, score)
     return best
 
 
@@ -204,7 +181,7 @@ def _init_worker(coords: np.ndarray, metric: DistanceMetric) -> None:
     _WORKER_DIST = _distance_matrix(coords, metric)
 
 
-def _best_for_k_in_worker(*args) -> Optional[_RawBest]:
+def _best_for_k_in_worker(*args) -> Optional[KBest]:
     """_best_for_k over the matrix this pool worker built in _init_worker."""
     assert _WORKER_DIST is not None, "pool worker started without _init_worker"
     return _best_for_k(_WORKER_DIST, *args)
@@ -216,25 +193,9 @@ def _pool_size(workers: int, cells: int, cpus: int) -> int:
     return max(1, min(workers, cells, cpus))
 
 
-def _materialize(
-    raw: _RawBest, coords: np.ndarray, weights: np.ndarray, metric: DistanceMetric
-) -> KBest:
-    assignment = ClusterAssignment(labels=raw.labels, k=raw.k)
-    result = ClusteringResult(
-        centers=tuple(GeoPoint(float(lat), float(lon)) for lat, lon in raw.centers),
-        assignment=assignment,
-        iterations=raw.iterations,
-        converged=raw.converged,
-        seed=raw.seed,
-        objective=_objective_core(coords, weights, raw.centers, raw.labels, metric),
-    )
-    dunn = DunnScore(raw.value, raw.min_inter_km, raw.max_intra_km)
-    return KBest(k=raw.k, run_index=raw.run_index, seed=raw.seed, result=result, dunn=dunn)
-
-
 def sweep(
-    points: "list[GeoPoint]",
-    weights: "list[float]",
+    coords: np.ndarray,
+    weights: "list[float] | np.ndarray",
     k_range: Iterable[int] | None = None,
     runs_per_k: int = DEFAULT_RUNS_PER_K,
     base_seed: int = 0,
@@ -244,15 +205,16 @@ def sweep(
 ) -> SweepResult:
     """Best clustering per k and the k with the highest Dunn index.
 
-    Every (k, run) cell gets its own derived seed, so the outcome is a pure
-    function of (points, weights, k_range, runs_per_k, base_seed,
-    max_iterations) regardless of worker count. Ties between runs keep the
+    `coords` is an (n, 2) [lat, lon] radian array and `weights` its n
+    aligned weights. Every (k, run) cell gets its own derived seed, so the
+    outcome is a pure function of (coords, weights, k_range, runs_per_k,
+    base_seed, max_iterations) regardless of worker count. Ties between runs keep the
     earliest run; ties between k values keep the smallest k. Degenerate runs
     are dropped; a k where every run degenerates maps to None; if that
     happens for all k the sweep raises SweepError.
     """
     metric = metric if metric is not None else HaversineMetric()
-    n = len(points)
+    n = len(coords)
     if len(weights) != n:
         raise ValidationError(f"{n} points but {len(weights)} weights")
     if runs_per_k < 1:
@@ -265,7 +227,6 @@ def sweep(
         raise ValidationError("no candidate k values to sweep")
     if ks[0] < 2 or ks[-1] > n:
         raise ValidationError(f"candidate k values must lie in [2, {n}], got {list(ks)}")
-    coords = coords_array(points)
     w = np.asarray(weights, dtype=np.float64)
     _validate_weights(w)
 
@@ -277,21 +238,15 @@ def sweep(
         with ProcessPoolExecutor(
             max_workers=size, initializer=_init_worker, initargs=(coords, metric)
         ) as pool:
-            raw_bests = list(pool.map(partial(_best_for_k_in_worker, *args), ks))
+            bests = list(pool.map(partial(_best_for_k_in_worker, *args), ks))
     else:
         dist = _distance_matrix(coords, metric)
-        raw_bests = [_best_for_k(dist, *args, k) for k in ks]
+        bests = [_best_for_k(dist, *args, k) for k in ks]
 
-    per_k: dict[int, Optional[KBest]] = {}
     optimal: Optional[KBest] = None
-    for k, raw in zip(ks, raw_bests):
-        if raw is None:
-            per_k[k] = None
-            continue
-        candidate = _materialize(raw, coords, w, metric)
-        per_k[k] = candidate
-        if optimal is None or candidate.dunn.value > optimal.dunn.value:
-            optimal = candidate
+    for best in bests:
+        if best is not None and (optimal is None or best.dunn.value > optimal.dunn.value):
+            optimal = best
     if optimal is None:
         raise SweepError(
             "every run at every candidate k was degenerate (all clusters were "
@@ -299,7 +254,7 @@ def sweep(
             "distinct points"
         )
     return SweepResult(
-        per_k=per_k,
+        per_k=dict(zip(ks, bests)),
         optimal_k=optimal.k,
         k_range=tuple(ks),
         runs_per_k=runs_per_k,

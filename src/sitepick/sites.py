@@ -9,13 +9,15 @@ recommended site is verbatim one of the surveyed coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .clustering import ClusterAssignment, DistanceMetric, HaversineMetric
 from .errors import EmptyClusterError, ValidationError
-from .geo import GeoPoint, coords_array
+
+if TYPE_CHECKING:
+    from .io_pipeline import SurveyResponse
 
 #: Region labels in the order site tables are sorted by, mirroring how the
 #: survey area is usually broken down in reports.
@@ -41,17 +43,6 @@ class Representative:
 
 
 @dataclass(frozen=True)
-class SourcePoint:
-    """Original coordinates and provenance of one clustered point, kept in
-    degrees exactly as parsed so exports never round-trip through radians."""
-
-    lat_deg: float
-    lon_deg: float
-    region: str
-    source_row: int
-
-
-@dataclass(frozen=True)
 class SiteRecord:
     site_id: str
     cluster: int
@@ -71,29 +62,28 @@ class SiteReport:
 
 
 def select_representatives(
-    points: "list[GeoPoint]",
+    coords: np.ndarray,
     assignment: ClusterAssignment,
-    centers: "list[GeoPoint]",
+    centers: np.ndarray,
     metric: DistanceMetric | None = None,
 ) -> "list[Representative]":
     """Pick, for every cluster, the member nearest its center.
 
+    `coords` and `centers` are (n, 2) and (k, 2) [lat, lon] radian arrays.
     Ties go to the lowest point index. Output is ordered by cluster index
     and always has exactly one entry per cluster.
     """
     metric = metric if metric is not None else HaversineMetric()
-    if assignment.labels.size != len(points):
-        raise ValidationError(f"{len(points)} points but {assignment.labels.size} labels")
+    if assignment.labels.size != len(coords):
+        raise ValidationError(f"{len(coords)} points but {assignment.labels.size} labels")
     if len(centers) != assignment.k:
         raise ValidationError(f"expected {assignment.k} centers, got {len(centers)}")
-    coords = coords_array(points)
-    center_coords = coords_array(centers)
     representatives: list[Representative] = []
     for cluster in range(assignment.k):
         members = assignment.members(cluster)
         if members.size == 0:
             raise EmptyClusterError(f"cluster {cluster} has no members to represent it")
-        dist = metric.pairwise(coords[members], center_coords[cluster : cluster + 1])[:, 0]
+        dist = metric.pairwise(coords[members], centers[cluster : cluster + 1])[:, 0]
         nearest = int(np.argmin(dist))
         representatives.append(
             Representative(
@@ -108,7 +98,7 @@ def select_representatives(
 def assign_site_ids(
     representatives: Sequence[Representative],
     quadrant_letter: str,
-    sources: Sequence[SourcePoint],
+    sources: Sequence["SurveyResponse"],
     region_order: Sequence[str] = DEFAULT_REGION_ORDER,
 ) -> SiteReport:
     """Label representatives as sites like "A01" and order them for reporting.
@@ -149,7 +139,7 @@ def assign_site_ids(
                 lat_deg=source.lat_deg,
                 lon_deg=source.lon_deg,
                 region=source.region.strip() or "UNKNOWN",
-                source_row=source.source_row,
+                source_row=source.row,
                 distance_km=rep.distance_km,
             )
         )

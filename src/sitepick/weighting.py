@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geo import GeoPoint
 
 
 class FrequencyCategory(enum.Enum):
@@ -33,19 +31,6 @@ _FREQUENCY_WEIGHTS = {
     FrequencyCategory.SEVEN_TO_NINE: 3,
     FrequencyCategory.TEN_OR_MORE: 4,
 }
-
-
-@dataclass(frozen=True)
-class WeightedPoint:
-    """A clusterable point paired with its reliability weight.
-
-    source_index is the ordinal of the originating response in the parsed
-    input, kept for provenance.
-    """
-
-    point: GeoPoint
-    weight: float
-    source_index: int
 
 
 def frequency_weight(cat: FrequencyCategory) -> int:

@@ -272,11 +272,11 @@ def test_criterion_7():
     for letter, (want_auc, want_k, want_dunn) in FULL_SCALE_EXPECTED.items():
         quadrant = Quadrant.from_token(letter)
         weighted = build_weighted_points(parsed.responses, quadrant)
-        auc = reliability_auc([wp.weight for wp in weighted])
+        auc = reliability_auc(weighted.weights)
         assert abs(auc - want_auc) <= 0.01, f"{letter}: auc {auc:.4f} vs {want_auc}"
         result = sweep(
-            [wp.point for wp in weighted],
-            [wp.weight for wp in weighted],
+            weighted.coords,
+            weighted.weights,
             k_range=range(2, 21),
             runs_per_k=100,
             base_seed=0,

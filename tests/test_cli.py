@@ -3,6 +3,7 @@
 import errno
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -233,6 +234,23 @@ def test_best_run_that_did_not_converge_is_reported(tmp_path, capsys):
     assert manifest["max_iterations"] == 1
     assert "converg" not in (out / "manifest.json").read_text(encoding="utf-8")
     assert set(artifacts) == {path.name for path in out.iterdir()}
+
+
+def test_cluster_across_antimeridian_converges_without_warnings(tmp_path, capsys):
+    # The six Fiji points of test_clustering, on both sides of lon 180.
+    rows = [
+        f"p1,A,East,{lat},{lon},1 to 3,5" for lat in (-16, -17, -18) for lon in (179.95, -179.95)
+    ]
+    survey = write_survey(tmp_path, rows)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["cluster", str(survey), "-o", str(tmp_path / "out"), "--k", "2",
+                     "--runs-per-k", "1"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert "LongitudeSpanWarning" not in err
+    assert "without converging" not in err
 
 
 # --- sweep ---

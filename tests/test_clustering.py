@@ -7,7 +7,6 @@ no code path with the implementation under test.
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from sitepick.clustering import (
     ClusterAssignment,
     ClusteringResult,
     HaversineMetric,
-    LongitudeSpanWarning,
     PlanarMetric,
     _distance_matrix,
     _kmeanspp_core,
@@ -45,6 +43,11 @@ GROUPED_POINTS = [
     from_degrees(2.19, 103.79),
 ]
 GROUPED_WEIGHTS = [0.5, 0.75, 1.0, 0.6, 0.9, 0.8]
+
+# Six points near Fiji, on both sides of the antimeridian.
+FIJI_POINTS = [
+    from_degrees(lat, lon) for lat in (-16.0, -17.0, -18.0) for lon in (179.95, -179.95)
+]
 
 
 def exhaustive_best_objective(points, weights, k):
@@ -265,10 +268,9 @@ def test_weighted_center_rejects_bad_input():
         weighted_center(GROUPED_POINTS[:2], [0.0, 0.0])
 
 
-def test_weighted_center_warns_across_antimeridian():
+def test_weighted_center_across_antimeridian_is_on_it():
     points = [from_degrees(0.0, 179.0), from_degrees(0.0, -179.0)]
-    with pytest.warns(LongitudeSpanWarning):
-        weighted_center(points, [1.0, 1.0])
+    assert weighted_center(points, [1.0, 1.0]).lon == math.pi
 
 
 @given(
@@ -299,23 +301,27 @@ def test_weighted_center_stays_in_bounding_box(latlon, data):
 
 
 def reference_centers(coords, weights, labels, k):
-    """Per-cluster weighted means, one cluster at a time, and whether any
-    cluster spans more than pi of longitude."""
+    """Per-cluster weighted means, one cluster at a time. A longitude more than
+    pi from the cluster's first member moves by 2 pi toward it, and the mean
+    longitude is folded into (-pi, pi]."""
     centers = np.empty((k, 2))
-    wide = False
     for j in range(k):
         members = np.flatnonzero(labels == j)
-        c, w = coords[members], weights[members]
-        wide = wide or (members.size > 1 and float(np.ptp(c[:, 1])) > np.pi)
-        centers[j] = (w[:, None] * c).sum(axis=0) / float(w.sum())
-    return centers, wide
+        c, w = coords[members].copy(), weights[members]
+        offset = c[:, 1] - c[0, 1]
+        moved = np.abs(offset) > np.pi
+        c[moved, 1] = c[moved, 1] - np.copysign(2.0 * np.pi, offset[moved])
+        lat, lon = (w[:, None] * c).sum(axis=0) / float(w.sum())
+        if lon > np.pi:
+            lon -= 2.0 * np.pi
+        elif lon <= -np.pi:
+            lon += 2.0 * np.pi
+        centers[j] = lat, lon
+    return centers
 
 
 def vectorised_centers(coords, weights, labels, k):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        centers = _update_centers(coords, weights, weights[:, None] * coords, labels, k)
-    return centers, any(issubclass(w.category, LongitudeSpanWarning) for w in caught)
+    return _update_centers(coords, weights, weights[:, None] * coords, labels, k)
 
 
 def same_bits(a, b):
@@ -343,10 +349,9 @@ def test_update_centers_is_the_per_cluster_loop(rows):
     weights = np.array([w for _, _, w, _ in rows])
     _, labels = np.unique([c for _, _, _, c in rows], return_inverse=True)
     k = int(labels.max()) + 1
-    got, got_wide = vectorised_centers(coords, weights, labels, k)
-    want, want_wide = reference_centers(coords, weights, labels, k)
+    got = vectorised_centers(coords, weights, labels, k)
+    want = reference_centers(coords, weights, labels, k)
     assert same_bits(got, want)
-    assert got_wide == want_wide
 
 
 def test_update_centers_is_the_per_cluster_loop_for_large_clusters():
@@ -359,10 +364,9 @@ def test_update_centers_is_the_per_cluster_loop_for_large_clusters():
         weights = rng.uniform(1e-3, 1.0, n)
         labels = rng.integers(0, k, n)
         labels[:k] = np.arange(k)
-        got, got_wide = vectorised_centers(coords, weights, labels, k)
-        want, want_wide = reference_centers(coords, weights, labels, k)
+        got = vectorised_centers(coords, weights, labels, k)
+        want = reference_centers(coords, weights, labels, k)
         assert same_bits(got, want)
-        assert got_wide == want_wide
 
 
 # --- seeding ---
@@ -575,6 +579,17 @@ def test_kmeans_converged_state_is_a_fixed_point():
             [GROUPED_WEIGHTS[i] for i in members],
         )
         assert again == result.centers[j]
+
+
+def test_kmeans_converges_across_antimeridian():
+    result = kmeans(FIJI_POINTS, [1.0] * 6, k=2, seed=0)
+    assert result.converged
+    for j, center in enumerate(result.centers):
+        members = [FIJI_POINTS[i] for i in result.assignment.members(j)]
+        lat = sum(math.degrees(p.lat) for p in members) / len(members)
+        lon = sum(math.degrees(p.lon) % 360.0 for p in members) / len(members)
+        assert abs(math.degrees(center.lat) - lat) < 0.1
+        assert abs(math.remainder(math.degrees(center.lon) - lon, 360.0)) < 0.1
 
 
 def test_kmeans_iteration_cap():

@@ -4,14 +4,15 @@ Export assertions check raw bytes, not parsed structures, because the
 artifact contract is byte-stability across reruns and platforms.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sitepick.clustering import kmeans
+from sitepick.clustering import ClusterAssignment
 from sitepick.errors import ConfigError, ParseError, ValidationError
-from sitepick.geo import from_degrees
+from sitepick.geo import coords_array, from_degrees
 from sitepick.io_pipeline import (
     Quadrant,
     QuadrantSummary,
@@ -23,7 +24,6 @@ from sitepick.io_pipeline import (
     parse_key_values,
     parse_responses,
     sha256_digest,
-    source_points,
 )
 from sitepick.model_selection import sweep
 from sitepick.sites import assign_site_ids, select_representatives
@@ -221,23 +221,29 @@ def test_parse_keeps_optional_columns():
 def test_build_weighted_points_filters_and_weights():
     responses = parse(SIX_ROWS).responses
     weighted = build_weighted_points(responses, Quadrant.FULL_OF_LIFE_EXCITING)
-    assert len(weighted) == 5
-    assert [wp.source_index for wp in weighted] == [0, 1, 2, 3, 4]
-    assert weighted[0].weight == reliability_weight(4, 30.0)
-    assert weighted[2].weight == reliability_weight(1, 5.0)
+    assert len(weighted.responses) == 5
+    assert weighted.responses == tuple(responses[:5])
+    assert weighted.weights.dtype == np.float64
+    assert weighted.weights[0] == reliability_weight(4, 30.0)
+    assert weighted.weights[2] == reliability_weight(1, 5.0)
     only_b = build_weighted_points(responses, Quadrant.CHAOTIC_RESTLESS)
-    assert [wp.source_index for wp in only_b] == [5]
-    assert build_weighted_points(responses, Quadrant.LIFELESS_BORING) == []
+    assert only_b.responses == (responses[5],)
+    empty = build_weighted_points(responses, Quadrant.LIFELESS_BORING)
+    assert empty.responses == ()
+    assert empty.coords.shape == (0, 2) and empty.weights.shape == (0,)
 
 
-def test_source_points_align_with_weighted_list():
+def test_quadrant_points_align_responses_with_arrays():
     responses = parse(SIX_ROWS).responses
     weighted = build_weighted_points(responses, Quadrant.CHAOTIC_RESTLESS)
-    sources = source_points(responses, weighted)
-    assert len(sources) == 1
-    assert sources[0].lat_deg == 1.30
-    assert sources[0].region == "CBD"
-    assert sources[0].source_row == 7
+    assert len(weighted.responses) == 1
+    source = weighted.responses[0]
+    assert source.lat_deg == 1.30
+    assert source.region == "CBD"
+    assert source.row == 7
+    assert np.array_equal(
+        weighted.coords, coords_array([from_degrees(source.lat_deg, source.lon_deg)])
+    )
 
 
 # --- exports ---
@@ -246,22 +252,21 @@ def test_source_points_align_with_weighted_list():
 def clustered_quadrant_a():
     responses = parse(SIX_ROWS).responses
     weighted = build_weighted_points(responses, Quadrant.FULL_OF_LIFE_EXCITING)
-    points = [wp.point for wp in weighted]
-    weights = [wp.weight for wp in weighted]
-    result = kmeans(points, weights, k=2, seed=1)
-    reps = select_representatives(points, result.assignment, list(result.centers))
-    report = assign_site_ids(reps, "A", source_points(responses, weighted))
-    return responses, weighted, result, report
+    best = sweep(weighted.coords, weighted.weights, k_range=[2], runs_per_k=1, base_seed=1).best
+    assignment = ClusterAssignment(best.labels, best.k)
+    reps = select_representatives(weighted.coords, assignment, best.centers)
+    report = assign_site_ids(reps, "A", weighted.responses)
+    return responses, weighted, best, report
 
 
 def test_export_geojson_structure_and_precision():
-    responses, weighted, result, report = clustered_quadrant_a()
-    raw = export_geojson(weighted, responses, result, report)
-    assert raw == export_geojson(weighted, responses, result, report)
+    responses, weighted, best, report = clustered_quadrant_a()
+    raw = export_geojson(weighted, best, report)
+    assert raw == export_geojson(weighted, best, report)
     document = json.loads(raw)
     assert document["type"] == "FeatureCollection"
     features = document["features"]
-    assert len(features) == len(weighted) + 2 + 2
+    assert len(features) == len(weighted.responses) + 2 + 2
     roles = [f["properties"]["role"] for f in features]
     assert roles.count("response") == 5
     assert roles.count("center") == 2
@@ -273,16 +278,22 @@ def test_export_geojson_structure_and_precision():
     assert first["properties"]["region"] == "CBD"
     assert b"103.846530000000" in raw  # 12 fixed decimal places
     weight = float(first["properties"]["weight"])
-    assert weight == pytest.approx(weighted[0].weight, abs=1e-12)
+    assert weight == pytest.approx(weighted.weights[0], abs=1e-12)
 
 
 def test_export_geojson_validates_alignment():
-    responses, weighted, result, report = clustered_quadrant_a()
+    _, weighted, best, report = clustered_quadrant_a()
+    shorter = dataclasses.replace(
+        weighted,
+        responses=weighted.responses[:-1],
+        coords=weighted.coords[:-1],
+        weights=weighted.weights[:-1],
+    )
     with pytest.raises(ValidationError):
-        export_geojson(weighted[:-1], responses, result, report)
+        export_geojson(shorter, best, report)
     truncated = type(report)(quadrant_letter="A", records=report.records[:1])
     with pytest.raises(ValidationError):
-        export_geojson(weighted, responses, result, truncated)
+        export_geojson(weighted, best, truncated)
 
 
 def test_export_site_table_bytes():
@@ -311,7 +322,7 @@ def test_export_dunn_curve_leaves_degenerate_rows_empty():
     # One duplicated point caps the usable cluster count at 2, so k=3 has no
     # scoreable run and its row keeps empty cells.
     points = [from_degrees(lat, 103.8) for lat in (1.30, 1.30, 1.40, 1.50)]
-    result = sweep(points, [1.0] * 4, k_range=[2, 3], runs_per_k=3, base_seed=0)
+    result = sweep(coords_array(points), [1.0] * 4, k_range=[2, 3], runs_per_k=3, base_seed=0)
     lines = export_dunn_curve(result).decode("utf-8").splitlines()
     assert lines[0] == "k,best_run,best_seed,dunn_index,min_inter_km,max_intra_km"
     assert lines[1].startswith("2,")

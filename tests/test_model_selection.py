@@ -18,9 +18,10 @@ from sitepick.clustering import (
     PlanarMetric,
     _distance_matrix,
     kmeans,
+    objective,
 )
 from sitepick.errors import DegenerateClusteringError, SweepError, ValidationError
-from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
+from sitepick.geo import EarthModel, GeoPoint, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
@@ -285,7 +286,7 @@ def test_sweep_recovers_pair_structure_against_enumeration():
     assert best_partition == FOUR_PAIR_PARTITION
 
     result = sweep(
-        FOUR_PAIR_POINTS,
+        coords_array(FOUR_PAIR_POINTS),
         FOUR_PAIR_WEIGHTS,
         k_range=[2, 3, 4, 5],
         runs_per_k=12,
@@ -293,7 +294,7 @@ def test_sweep_recovers_pair_structure_against_enumeration():
     )
     assert result.optimal_k == 4
     got = {
-        frozenset(result.best.result.assignment.members(j).tolist())
+        frozenset(np.flatnonzero(result.best.labels == j).tolist())
         for j in range(4)
     }
     assert got == FOUR_PAIR_PARTITION
@@ -308,7 +309,7 @@ def test_sweep_recovers_pair_structure_against_enumeration():
 def test_sweep_single_run_matches_direct_kmeans():
     base_seed = 5
     result = sweep(
-        FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[3], runs_per_k=1,
+        coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[3], runs_per_k=1,
         base_seed=base_seed,
     )
     kb = result.per_k[3]
@@ -317,14 +318,16 @@ def test_sweep_single_run_matches_direct_kmeans():
     assert kb.seed == expected_seed
     assert kb.run_index == 0
     direct = kmeans(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k=3, seed=expected_seed)
-    assert kb.result.centers == direct.centers
-    assert np.array_equal(kb.result.assignment.labels, direct.assignment.labels)
-    assert kb.result.objective == direct.objective
+    assert np.array_equal(kb.centers, coords_array(list(direct.centers)))
+    assert np.array_equal(kb.labels, direct.assignment.labels)
+    centers = [GeoPoint(lat, lon) for lat, lon in kb.centers.tolist()]
+    assignment = ClusterAssignment(kb.labels, 3)
+    assert objective(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, centers, assignment) == direct.objective
 
 
 def test_sweep_more_runs_never_score_worse():
-    few = sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=1)
-    many = sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=8)
+    few = sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=1)
+    many = sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=8)
     for k in (2, 3):
         assert many.per_k[k].dunn.value >= few.per_k[k].dunn.value
 
@@ -332,7 +335,9 @@ def test_sweep_more_runs_never_score_worse():
 def test_sweep_ties_keep_the_earliest_run():
     # Strong separation makes every start converge to the same two clusters,
     # so all runs tie on the Dunn score and run 0 must be kept.
-    result = sweep(TWO_BAND_POINTS, [1.0] * 4, k_range=[2], runs_per_k=6, base_seed=0)
+    result = sweep(
+        coords_array(TWO_BAND_POINTS), [1.0] * 4, k_range=[2], runs_per_k=6, base_seed=0
+    )
     kb = result.per_k[2]
     assert kb.run_index == 0
     assert kb.seed == derive_seed(0, 2, 0)
@@ -340,11 +345,11 @@ def test_sweep_ties_keep_the_earliest_run():
 
 def test_sweep_worker_count_does_not_change_results():
     serial = sweep(
-        FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[2, 3, 4], runs_per_k=6,
+        coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3, 4], runs_per_k=6,
         base_seed=7, workers=1,
     )
     parallel = sweep(
-        FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[2, 3, 4], runs_per_k=6,
+        coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3, 4], runs_per_k=6,
         base_seed=7, workers=3,
     )
     assert serial.optimal_k == parallel.optimal_k
@@ -352,13 +357,13 @@ def test_sweep_worker_count_does_not_change_results():
         a, b = serial.per_k[k], parallel.per_k[k]
         assert a.seed == b.seed
         assert a.dunn == b.dunn
-        assert a.result.centers == b.result.centers
-        assert np.array_equal(a.result.assignment.labels, b.result.assignment.labels)
+        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_sweep_default_range_ends_at_isqrt():
     points = [from_degrees(0.1 * i, 0.07 * (i % 5)) for i in range(9)]
-    result = sweep(points, [1.0] * 9, runs_per_k=2)
+    result = sweep(coords_array(points), [1.0] * 9, runs_per_k=2)
     assert isinstance(result, SweepResult)
     assert result.k_range == (2, 3)
 
@@ -366,7 +371,7 @@ def test_sweep_default_range_ends_at_isqrt():
 def test_sweep_all_coincident_raises():
     p = from_degrees(1.3, 103.8)
     with pytest.raises(SweepError, match="degenerate"):
-        sweep([p] * 5, [1.0] * 5, k_range=[2, 3], runs_per_k=3)
+        sweep(coords_array([p] * 5), [1.0] * 5, k_range=[2, 3], runs_per_k=3)
 
 
 def test_sweep_skips_degenerate_k_only():
@@ -375,7 +380,7 @@ def test_sweep_skips_degenerate_k_only():
     a = from_degrees(1.30, 103.80)
     b = from_degrees(1.40, 103.90)
     c = from_degrees(1.50, 103.70)
-    result = sweep([a, a, b, c], [1.0] * 4, k_range=[2, 3], runs_per_k=4)
+    result = sweep(coords_array([a, a, b, c]), [1.0] * 4, k_range=[2, 3], runs_per_k=4)
     assert result.per_k[3] is None
     assert result.per_k[2] is not None
     assert result.optimal_k == 2
@@ -384,14 +389,14 @@ def test_sweep_skips_degenerate_k_only():
 
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValidationError):
-        sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, runs_per_k=0)
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, runs_per_k=0)
     with pytest.raises(ValidationError):
-        sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[1, 2])
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[1, 2])
     with pytest.raises(ValidationError):
-        sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[2, 9])
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 9])
     with pytest.raises(ValidationError):
-        sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k_range=[])
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[])
     with pytest.raises(ValidationError):
-        sweep(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS[:-1], k_range=[2])
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS[:-1], k_range=[2])
     with pytest.raises(ValidationError):
-        sweep(TWO_BAND_POINTS[:3], [1.0] * 3)
+        sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)

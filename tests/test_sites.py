@@ -5,19 +5,29 @@ import pytest
 
 from sitepick.clustering import ClusterAssignment, HaversineMetric, kmeans
 from sitepick.errors import EmptyClusterError, ValidationError
-from sitepick.geo import from_degrees, haversine
+from sitepick.geo import coords_array, from_degrees, haversine
+from sitepick.io_pipeline import Quadrant, SurveyResponse
 from sitepick.sites import (
     DEFAULT_REGION_ORDER,
     Representative,
     SiteReport,
-    SourcePoint,
     assign_site_ids,
     select_representatives,
 )
+from sitepick.weighting import FrequencyCategory
 
 
 def source(lat, lon, region="Central", row=2):
-    return SourcePoint(lat_deg=lat, lon_deg=lon, region=region, source_row=row)
+    return SurveyResponse(
+        participant_id="p1",
+        quadrant=Quadrant.FULL_OF_LIFE_EXCITING,
+        region=region,
+        lat_deg=lat,
+        lon_deg=lon,
+        visit_count_category=FrequencyCategory.ONE_TO_THREE,
+        avg_duration_min=10.0,
+        row=row,
+    )
 
 
 def test_representatives_are_cluster_members():
@@ -30,7 +40,9 @@ def test_representatives_are_cluster_members():
     ]
     weights = [0.6, 0.9, 0.7, 1.0, 0.8]
     result = kmeans(points, weights, k=2, seed=3)
-    reps = select_representatives(points, result.assignment, list(result.centers))
+    reps = select_representatives(
+        coords_array(points), result.assignment, coords_array(list(result.centers))
+    )
     assert len(reps) == 2
     assert [rep.cluster for rep in reps] == [0, 1]
     for rep in reps:
@@ -46,7 +58,7 @@ def test_singleton_cluster_represents_itself():
     points = [from_degrees(1.30, 103.80), from_degrees(2.20, 103.80)]
     assignment = ClusterAssignment(labels=np.array([0, 1]), k=2)
     centers = [points[0], points[1]]
-    reps = select_representatives(points, assignment, centers)
+    reps = select_representatives(coords_array(points), assignment, coords_array(centers))
     assert [rep.point_index for rep in reps] == [0, 1]
     assert reps[0].distance_km == 0.0
 
@@ -55,7 +67,7 @@ def test_equidistant_members_tie_to_lowest_index():
     points = [from_degrees(0.0, 0.01), from_degrees(0.0, -0.01)]
     assignment = ClusterAssignment(labels=np.array([0, 0]), k=1)
     center = [from_degrees(0.0, 0.0)]
-    reps = select_representatives(points, assignment, center)
+    reps = select_representatives(coords_array(points), assignment, coords_array(center))
     assert reps[0].point_index == 0
 
 
@@ -64,7 +76,9 @@ def test_representative_is_a_real_point_not_the_midpoint():
     # surveyed location; the representative must be one of the inputs.
     points = [from_degrees(1.30, 103.80), from_degrees(1.40, 103.90)]
     result = kmeans(points, [0.5, 1.0], k=1, seed=0)
-    reps = select_representatives(points, result.assignment, list(result.centers))
+    reps = select_representatives(
+        coords_array(points), result.assignment, coords_array(list(result.centers))
+    )
     assert reps[0].point_index == 1  # heavier point pulls the center toward it
     gap = haversine(points[0], points[1])
     assert 0.0 < reps[0].distance_km < gap
@@ -80,10 +94,12 @@ def test_representatives_follow_cluster_relabeling():
     labels = np.array([0, 0, 1, 1])
     centers = [from_degrees(1.305, 103.805), from_degrees(2.205, 103.805)]
     forward = select_representatives(
-        points, ClusterAssignment(labels=labels, k=2), centers
+        coords_array(points), ClusterAssignment(labels=labels, k=2), coords_array(centers)
     )
     swapped = select_representatives(
-        points, ClusterAssignment(labels=1 - labels, k=2), centers[::-1]
+        coords_array(points),
+        ClusterAssignment(labels=1 - labels, k=2),
+        coords_array(centers[::-1]),
     )
     assert {r.point_index for r in forward} == {r.point_index for r in swapped}
     assert forward[0].point_index == swapped[1].point_index
@@ -94,11 +110,11 @@ def test_select_representatives_rejects_bad_input():
     all_zero = ClusterAssignment(labels=np.array([0, 0]), k=2)
     centers = [points[0], points[1]]
     with pytest.raises(EmptyClusterError):
-        select_representatives(points, all_zero, centers)
+        select_representatives(coords_array(points), all_zero, coords_array(centers))
     with pytest.raises(ValidationError):
-        select_representatives(points[:1], all_zero, centers)
+        select_representatives(coords_array(points[:1]), all_zero, coords_array(centers))
     with pytest.raises(ValidationError):
-        select_representatives(points, all_zero, centers[:1])
+        select_representatives(coords_array(points), all_zero, coords_array(centers[:1]))
 
 
 def test_site_ids_sort_by_region_then_latitude():

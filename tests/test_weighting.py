@@ -9,10 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sitepick.errors import ValidationError
-from sitepick.geo import GeoPoint
 from sitepick.weighting import (
     FrequencyCategory,
-    WeightedPoint,
     frequency_weight,
     reliability_auc,
     reliability_weight,
@@ -101,11 +99,6 @@ def test_auc_permutation_invariant_and_bounded(weights):
     reversed_auc = reliability_auc(list(reversed(weights)))
     assert auc == reversed_auc
     assert min(weights) - 1e-12 <= auc <= max(weights) + 1e-12
-
-
-def test_weighted_point_is_plain_data():
-    wp = WeightedPoint(point=GeoPoint(0.1, 0.2), weight=0.8, source_index=3)
-    assert wp.weight == 0.8 and wp.source_index == 3
 
 
 def test_auc_reference_trapezoid():
