@@ -9,8 +9,6 @@ from .clustering import (
     HaversineMetric,
     PlanarMetric,
     kmeans,
-    kmeanspp_init,
-    objective,
     weighted_center,
 )
 from .errors import (
@@ -30,7 +28,6 @@ from .geo import (
     from_degrees,
     haversine,
     haversine_km,
-    to_degrees,
 )
 from .io_pipeline import (
     ParseResult,
@@ -64,64 +61,3 @@ from .weighting import (
     reliability_weight,
     reliability_weights,
 )
-
-__all__ = [
-    "__version__",
-    "ClusterAssignment",
-    "ClusteringResult",
-    "ConfigError",
-    "DEFAULT_REGION_ORDER",
-    "DegenerateClusteringError",
-    "DistanceMetric",
-    "DunnScore",
-    "EARTH",
-    "EarthModel",
-    "EmptyClusterError",
-    "FrequencyCategory",
-    "GeoPoint",
-    "HaversineMetric",
-    "KBest",
-    "ParseError",
-    "ParseResult",
-    "PlanarMetric",
-    "Quadrant",
-    "QuadrantPoints",
-    "QuadrantSummary",
-    "Representative",
-    "RowDiagnostic",
-    "RunManifest",
-    "SiteRecord",
-    "SiteReport",
-    "SitepickError",
-    "SplitMix64",
-    "SurveyResponse",
-    "SweepError",
-    "SweepResult",
-    "ValidationError",
-    "assign_site_ids",
-    "build_weighted_points",
-    "coords_array",
-    "default_k_max",
-    "derive_seed",
-    "dunn_index",
-    "export_dunn_curve",
-    "export_geojson",
-    "export_site_table",
-    "from_degrees",
-    "frequency_weight",
-    "haversine",
-    "haversine_km",
-    "kmeans",
-    "kmeanspp_init",
-    "mix64",
-    "objective",
-    "parse_responses",
-    "reliability_auc",
-    "reliability_weight",
-    "reliability_weights",
-    "select_representatives",
-    "sha256_digest",
-    "sweep",
-    "to_degrees",
-    "weighted_center",
-]

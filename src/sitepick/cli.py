@@ -14,7 +14,8 @@ determines the run. Exit codes: 0 success, 2 bad configuration or usage
 text, and an output directory that cannot be created or written), 3
 unparseable input (including input that is not UTF-8 text), 4 clustering
 that produced no scoreable partition or lost a cluster. A run that fails
-writes no artifacts: all go to temp files before any is renamed into place.
+writes no artifacts: all go to temp files before any is renamed into place,
+and the old manifest.json is removed before the first rename.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .clustering import DEFAULT_MAX_ITERATIONS, ClusterAssignment, HaversineMetric
+from .clustering import DEFAULT_MAX_ITERATIONS, HaversineMetric
 from .errors import (
     ConfigError,
     DegenerateClusteringError,
@@ -53,7 +54,7 @@ from .io_pipeline import (
 from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep
 from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
 from .synth import WEIGHT_LAWS, SynthSpec, synthetic_csv
-from .weighting import frequency_weight, reliability_auc
+from .weighting import frequency_weight, reliability_auc, reliability_weight
 
 _QUADRANT_CHOICES = tuple(q.letter for q in Quadrant)
 
@@ -164,26 +165,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         config = load_config_file(args.config)
     overrides: dict = {}
-    for name in (
-        "input",
-        "output_dir",
-        "base_seed",
-        "runs_per_k",
-        "k_min",
-        "k_max",
-        "max_iterations",
-        "earth_radius_km",
-        "workers",
-    ):
+    for name in ("input", "output_dir", *_CONFIG_PARSERS):
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = value
-    if getattr(args, "strict", False):
-        overrides["strict"] = True
-    if getattr(args, "quadrant", None):
-        overrides["quadrants"] = tuple(args.quadrant)
-    if getattr(args, "region_order", None) is not None:
-        overrides["region_order"] = _parse_regions(args.region_order)
+            overrides[name] = tuple(value) if name == "quadrants" else value
     config = replace(config, **overrides)
     config.validate()
     return config
@@ -211,13 +196,18 @@ def _parse_survey(
 
 def _write(directory: Path, files: "list[tuple[str, bytes]]") -> None:
     """Write each (name, payload) to a temp file in directory, then rename them
-    into place in order; a failed write removes the temp files."""
+    into place in order, the last entry only after its old copy is removed.
+    A failure removes the temp files: a failed write leaves directory as it
+    was, and a failed rename leaves no last entry."""
     temps: list[Path] = []
     try:
         directory.mkdir(parents=True, exist_ok=True)
         for name, payload in files:
             temps.append(directory / f".{name}.{os.getpid()}.tmp")
             temps[-1].write_bytes(payload)
+        # A rename that fails midway must not leave the old manifest.json
+        # describing a mix of old and new artifacts.
+        (directory / files[-1][0]).unlink(missing_ok=True)
         for (name, _), temp in zip(files, temps):
             os.replace(temp, directory / name)
     except OSError as exc:
@@ -234,18 +224,21 @@ def cmd_weights(args: argparse.Namespace) -> int:
     summary = ["quadrant,label,n_points,auc"]
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
-        points = build_weighted_points(parsed.responses, quadrant)
-        for response, weight in zip(points.responses, points.weights.tolist()):
+        weights: list[float] = []
+        for response in parsed.responses:
+            if response.quadrant is not quadrant:
+                continue
             factor = frequency_weight(response.visit_count_category)
+            weights.append(reliability_weight(factor, response.avg_duration_min))
             lines.append(
                 f"{response.row},{response.participant_id},{letter},{response.region},"
-                f"{factor},{response.avg_duration_min:.6f},{weight:.12f}"
+                f"{factor},{response.avg_duration_min:.6f},{weights[-1]:.12f}"
             )
-        n = len(points.responses)
+        n = len(weights)
         if not n:
             print(f"quadrant {letter} ({quadrant.label}): no responses", file=sys.stderr)
             continue
-        auc = reliability_auc(points.weights)
+        auc = reliability_auc(weights)
         summary.append(f"{letter},{quadrant.label},{n},{auc:.12f}")
         print(f"quadrant {letter} ({quadrant.label}): n={n} auc={auc:.4f}")
     tables = (("weights.csv", lines), ("auc_summary.csv", summary))
@@ -302,11 +295,9 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         if not best.converged:
             print(f"warning: quadrant {letter}: best run at k={best.k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
-        representatives = select_representatives(
-            points.coords, ClusterAssignment(best.labels, best.k), best.centers, metric
-        )
+        representatives = select_representatives(points.coords, best.labels, best.centers, metric)
         report = assign_site_ids(
-            representatives, quadrant.letter, points.responses, region_order=config.region_order
+            representatives, quadrant, points.responses, region_order=config.region_order
         )
         artifacts += [
             (f"clusters_{letter}.geojson", export_geojson(points, best, report)),
@@ -371,10 +362,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--column-map",
                         help="key=value file renaming canonical CSV columns to yours")
-    parser.add_argument("--strict", action="store_true",
+    parser.add_argument("--strict", action="store_const", const=True,
                         help="treat any row diagnostic as a fatal parse error")
     parser.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
-                        metavar="LETTER",
+                        dest="quadrants", metavar="LETTER",
                         help="quadrant letter to process (repeatable; default all)")
     parser.add_argument("--base-seed", type=int, help="seed all runs derive from (default 0)")
     parser.add_argument("--runs-per-k", type=int,
@@ -386,7 +377,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help=f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})")
     parser.add_argument("--earth-radius-km", type=float,
                         help="sphere radius for distances (default 6371)")
-    parser.add_argument("--region-order",
+    parser.add_argument("--region-order", type=_parse_regions,
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,
                         help="processes for the k sweep, at most one per k and per CPU; "

@@ -21,7 +21,7 @@ metric call would return.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,24 +202,6 @@ def weighted_center(points: "list[GeoPoint]", weights: "list[float]") -> GeoPoin
     labels = np.zeros(len(points), dtype=np.int64)
     lat, lon = _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
     return GeoPoint(float(lat), float(lon))
-
-
-def kmeanspp_init(
-    points: "list[GeoPoint]", k: int, metric: DistanceMetric, rng: SplitMix64
-) -> "list[GeoPoint]":
-    """Draw k initial centers, spaced out proportionally to squared distance.
-
-    The first center is uniform over the points; each later center is drawn
-    with probability r_j^2 / sum(r^2) where r_j is point j's distance to its
-    nearest already-chosen center. Weights play no role in seeding. Builds
-    the full pairwise distance matrix, 8 * n^2 bytes (18 MB at n = 1500).
-    """
-    if len(points) == 0:
-        raise ValidationError("cannot seed centers from an empty point set")
-    if not 1 <= k <= len(points):
-        raise ValidationError(f"k must be in [1, {len(points)}], got {k}")
-    chosen = _kmeanspp_core(_distance_matrix(coords_array(points), metric), k, rng)
-    return [points[i] for i in chosen]
 
 
 def _weighted_draw(probabilities: np.ndarray, rng: SplitMix64) -> int:
@@ -431,25 +413,3 @@ def _objective_core(
     d = metric.between(coords, centers[labels])
     return float((weights * d * d).sum())
 
-
-def objective(
-    points: "list[GeoPoint]",
-    weights: "list[float]",
-    centers: "list[GeoPoint]",
-    assignment: ClusterAssignment,
-    metric: DistanceMetric | None = None,
-) -> float:
-    """Weighted within-cluster dispersion: sum of w * d(x, assigned center)^2."""
-    metric = metric if metric is not None else HaversineMetric()
-    n = len(points)
-    if len(weights) != n or assignment.labels.size != n:
-        raise ValidationError("points, weights and assignment must be aligned")
-    if len(centers) != assignment.k:
-        raise ValidationError(f"expected {assignment.k} centers, got {len(centers)}")
-    return _objective_core(
-        coords_array(points),
-        np.asarray(weights, dtype=np.float64),
-        coords_array(centers),
-        assignment.labels,
-        metric,
-    )

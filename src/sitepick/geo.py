@@ -55,11 +55,6 @@ def from_degrees(lat_deg: float, lon_deg: float) -> GeoPoint:
     return GeoPoint(lat, lon)
 
 
-def to_degrees(point: GeoPoint) -> tuple[float, float]:
-    """Degree (lat, lon) pair for a GeoPoint."""
-    return math.degrees(point.lat), math.degrees(point.lon)
-
-
 def haversine(a: GeoPoint, b: GeoPoint, earth: EarthModel = EARTH) -> float:
     """Great-circle distance in km between two points on a spherical Earth.
 

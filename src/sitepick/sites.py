@@ -13,11 +13,11 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .clustering import ClusterAssignment, DistanceMetric, HaversineMetric
+from .clustering import DistanceMetric, HaversineMetric
 from .errors import EmptyClusterError, ValidationError
 
 if TYPE_CHECKING:
-    from .io_pipeline import SurveyResponse
+    from .io_pipeline import Quadrant, SurveyResponse
 
 #: Region labels in the order site tables are sorted by, mirroring how the
 #: survey area is usually broken down in reports.
@@ -29,8 +29,6 @@ DEFAULT_REGION_ORDER: tuple[str, ...] = (
     "North-east",
     "West",
 )
-
-_QUADRANT_LETTERS = ("A", "B", "C", "D")
 
 
 @dataclass(frozen=True)
@@ -63,24 +61,26 @@ class SiteReport:
 
 def select_representatives(
     coords: np.ndarray,
-    assignment: ClusterAssignment,
+    labels: np.ndarray,
     centers: np.ndarray,
     metric: DistanceMetric | None = None,
 ) -> "list[Representative]":
     """Pick, for every cluster, the member nearest its center.
 
-    `coords` and `centers` are (n, 2) and (k, 2) [lat, lon] radian arrays.
-    Ties go to the lowest point index. Output is ordered by cluster index
-    and always has exactly one entry per cluster.
+    `coords` and `centers` are (n, 2) and (k, 2) [lat, lon] radian arrays and
+    `labels` gives each point's cluster in [0, k). Ties go to the lowest
+    point index. Output is ordered by cluster index and always has exactly
+    one entry per cluster.
     """
     metric = metric if metric is not None else HaversineMetric()
-    if assignment.labels.size != len(coords):
-        raise ValidationError(f"{len(coords)} points but {assignment.labels.size} labels")
-    if len(centers) != assignment.k:
-        raise ValidationError(f"expected {assignment.k} centers, got {len(centers)}")
+    k = len(centers)
+    if labels.size != len(coords):
+        raise ValidationError(f"{len(coords)} points but {labels.size} labels")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValidationError(f"every label must lie in [0, {k}) for {k} centers")
     representatives: list[Representative] = []
-    for cluster in range(assignment.k):
-        members = assignment.members(cluster)
+    for cluster in range(k):
+        members = np.flatnonzero(labels == cluster)
         if members.size == 0:
             raise EmptyClusterError(f"cluster {cluster} has no members to represent it")
         dist = metric.pairwise(coords[members], centers[cluster : cluster + 1])[:, 0]
@@ -97,7 +97,7 @@ def select_representatives(
 
 def assign_site_ids(
     representatives: Sequence[Representative],
-    quadrant_letter: str,
+    quadrant: "Quadrant",
     sources: Sequence["SurveyResponse"],
     region_order: Sequence[str] = DEFAULT_REGION_ORDER,
 ) -> SiteReport:
@@ -108,8 +108,6 @@ def assign_site_ids(
     letter plus a zero-padded ordinal in that sort order. A representative
     whose source has a blank region is reported under "UNKNOWN".
     """
-    if quadrant_letter not in _QUADRANT_LETTERS:
-        raise ValidationError(f"quadrant letter must be one of {_QUADRANT_LETTERS}")
     ranks = {region: i for i, region in enumerate(region_order)}
     fallback_rank = len(region_order)
 
@@ -134,7 +132,7 @@ def assign_site_ids(
         source = sources[rep.point_index]
         records.append(
             SiteRecord(
-                site_id=f"{quadrant_letter}{ordinal:0{width}d}",
+                site_id=f"{quadrant.letter}{ordinal:0{width}d}",
                 cluster=rep.cluster,
                 lat_deg=source.lat_deg,
                 lon_deg=source.lon_deg,
@@ -143,4 +141,4 @@ def assign_site_ids(
                 distance_km=rep.distance_km,
             )
         )
-    return SiteReport(quadrant_letter=quadrant_letter, records=tuple(records))
+    return SiteReport(quadrant_letter=quadrant.letter, records=tuple(records))

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 import sitepick.cli
-from sitepick.cli import RunConfig, load_config_file, main
+from sitepick.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from sitepick.errors import ConfigError, EmptyClusterError
 from sitepick.io_pipeline import parse_responses
 
@@ -214,6 +214,21 @@ def test_failed_write_leaves_old_output_untouched(tmp_path, monkeypatch, capsys)
     assert len(calls) == 2
     assert capsys.readouterr().err.startswith("error: cannot write ")
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_failed_rename_leaves_no_old_manifest(tmp_path, capsys):
+    first = write_survey(tmp_path, TWO_REGION_ROWS, name="s1.csv")
+    moved = [row.replace(",103.", ",104.") for row in TWO_REGION_ROWS]
+    second = write_survey(tmp_path, moved, name="s2.csv")
+    out = tmp_path / "out"
+    argv = ["-o", str(out), "--quadrant", "A", "--runs-per-k", "3"]
+    assert main(["sweep", str(first)] + argv) == 0
+    (out / "sites_A.csv").unlink()
+    (out / "sites_A.csv").mkdir()
+    assert main(["sweep", str(second)] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert not (out / "manifest.json").exists()
+    assert not list(out.glob("*.tmp"))
 
 
 def test_best_run_that_did_not_converge_is_reported(tmp_path, capsys):
@@ -438,6 +453,22 @@ def test_run_config_validate():
     with pytest.raises(ConfigError):
         RunConfig(quadrants=("Z",)).validate()
     RunConfig().validate()
+
+
+def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("strict = yes\nquadrants = B\n", encoding="utf-8")
+    parse = build_parser().parse_args
+    # Leaving --strict out keeps the file's value.
+    assert resolve_config(parse(["sweep", "s.csv", "--config", str(config)])).strict is True
+    assert resolve_config(parse(["sweep", "s.csv"])).strict is False
+    assert resolve_config(parse(["sweep", "s.csv", "--strict"])).strict is True
+    resolved = resolve_config(parse(["sweep", "s.csv", "--config", str(config),
+                                     "--region-order", "West, East",
+                                     "--quadrant", "A", "--quadrant", "C"]))
+    assert resolved.region_order == ("West", "East")
+    assert resolved.quadrants == ("A", "C")
+    assert resolved.strict is True
 
 
 def test_load_config_file_parses_every_knob(tmp_path):

@@ -20,11 +20,10 @@ from sitepick.clustering import (
     PlanarMetric,
     _distance_matrix,
     _kmeanspp_core,
+    _objective_core,
     _repair_empty_clusters,
     _update_centers,
     kmeans,
-    kmeanspp_init,
-    objective,
     weighted_center,
 )
 from sitepick.errors import EmptyClusterError, ValidationError
@@ -429,28 +428,16 @@ def test_kmeanspp_from_matrix_picks_the_reference_indices(metric):
 
 
 def test_kmeanspp_single_point():
-    point = GROUPED_POINTS[0]
-    centers = kmeanspp_init([point], 1, HaversineMetric(), SplitMix64(3))
-    assert centers == [point]
+    matrix = _distance_matrix(coords_array([GROUPED_POINTS[0]]), HaversineMetric())
+    assert _kmeanspp_core(matrix, 1, SplitMix64(3)) == [0]
 
 
 def test_kmeanspp_centers_are_input_points():
-    rng = SplitMix64(11)
-    centers = kmeanspp_init(GROUPED_POINTS, 3, HaversineMetric(), rng)
-    assert len(centers) == 3
-    pool = {(p.lat, p.lon) for p in GROUPED_POINTS}
-    for center in centers:
-        assert (center.lat, center.lon) in pool
-
-
-def test_kmeanspp_rejects_bad_k():
-    metric = HaversineMetric()
-    with pytest.raises(ValidationError):
-        kmeanspp_init(GROUPED_POINTS, 0, metric, SplitMix64(0))
-    with pytest.raises(ValidationError):
-        kmeanspp_init(GROUPED_POINTS, 7, metric, SplitMix64(0))
-    with pytest.raises(ValidationError):
-        kmeanspp_init([], 1, metric, SplitMix64(0))
+    matrix = _distance_matrix(coords_array(GROUPED_POINTS), HaversineMetric())
+    chosen = _kmeanspp_core(matrix, 3, SplitMix64(11))
+    assert len(chosen) == 3
+    for index in chosen:
+        assert 0 <= index < len(GROUPED_POINTS)
 
 
 def test_kmeanspp_never_repeats_a_coincident_point():
@@ -662,28 +649,18 @@ def test_kmeans_always_yields_full_partition(latlon, data):
 def test_objective_one_degree_reference():
     # One point half-weighted at one degree of arc from its center:
     # 0.5 * (6371 * pi / 180)^2, oracle-computed.
-    points = [from_degrees(1.0, 0.0)]
-    centers = [from_degrees(0.0, 0.0)]
-    assignment = ClusterAssignment(labels=np.array([0]), k=1)
-    value = objective(points, [0.5], centers, assignment)
+    points = coords_array([from_degrees(1.0, 0.0)])
+    centers = coords_array([from_degrees(0.0, 0.0)])
+    value = _objective_core(points, np.array([0.5]), centers, np.array([0]), HaversineMetric())
     assert value == pytest.approx(6182.1558557444, abs=1e-6)
     assert value == pytest.approx(0.5 * ONE_DEG_KM**2, rel=1e-12)
 
 
 def test_objective_is_linear_in_weights():
-    assignment = ClusterAssignment(labels=np.array([0, 0, 0, 1, 1, 1]), k=2)
-    centers = [from_degrees(1.30, 103.80), from_degrees(2.20, 103.80)]
-    base = objective(GROUPED_POINTS, GROUPED_WEIGHTS, centers, assignment)
-    tripled = objective(
-        GROUPED_POINTS, [3.0 * w for w in GROUPED_WEIGHTS], centers, assignment
-    )
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    points = coords_array(GROUPED_POINTS)
+    centers = coords_array([from_degrees(1.30, 103.80), from_degrees(2.20, 103.80)])
+    weights = np.array(GROUPED_WEIGHTS)
+    base = _objective_core(points, weights, centers, labels, HaversineMetric())
+    tripled = _objective_core(points, 3.0 * weights, centers, labels, HaversineMetric())
     assert tripled == pytest.approx(3.0 * base, rel=1e-12)
-
-
-def test_objective_rejects_misaligned_input():
-    assignment = ClusterAssignment(labels=np.array([0, 0, 0, 1, 1, 1]), k=2)
-    centers = [GROUPED_POINTS[0], GROUPED_POINTS[3]]
-    with pytest.raises(ValidationError):
-        objective(GROUPED_POINTS, GROUPED_WEIGHTS[:-1], centers, assignment)
-    with pytest.raises(ValidationError):
-        objective(GROUPED_POINTS, GROUPED_WEIGHTS, centers[:1], assignment)

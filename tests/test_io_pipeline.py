@@ -10,7 +10,6 @@ import json
 import numpy as np
 import pytest
 
-from sitepick.clustering import ClusterAssignment
 from sitepick.errors import ConfigError, ParseError, ValidationError
 from sitepick.geo import coords_array, from_degrees
 from sitepick.io_pipeline import (
@@ -253,9 +252,8 @@ def clustered_quadrant_a():
     responses = parse(SIX_ROWS).responses
     weighted = build_weighted_points(responses, Quadrant.FULL_OF_LIFE_EXCITING)
     best = sweep(weighted.coords, weighted.weights, k_range=[2], runs_per_k=1, base_seed=1).best
-    assignment = ClusterAssignment(best.labels, best.k)
-    reps = select_representatives(weighted.coords, assignment, best.centers)
-    report = assign_site_ids(reps, "A", weighted.responses)
+    reps = select_representatives(weighted.coords, best.labels, best.centers)
+    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, weighted.responses)
     return responses, weighted, best, report
 
 

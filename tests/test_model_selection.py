@@ -17,11 +17,11 @@ from sitepick.clustering import (
     HaversineMetric,
     PlanarMetric,
     _distance_matrix,
+    _objective_core,
     kmeans,
-    objective,
 )
 from sitepick.errors import DegenerateClusteringError, SweepError, ValidationError
-from sitepick.geo import EarthModel, GeoPoint, coords_array, from_degrees, haversine
+from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
@@ -320,9 +320,10 @@ def test_sweep_single_run_matches_direct_kmeans():
     direct = kmeans(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k=3, seed=expected_seed)
     assert np.array_equal(kb.centers, coords_array(list(direct.centers)))
     assert np.array_equal(kb.labels, direct.assignment.labels)
-    centers = [GeoPoint(lat, lon) for lat, lon in kb.centers.tolist()]
-    assignment = ClusterAssignment(kb.labels, 3)
-    assert objective(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, centers, assignment) == direct.objective
+    coords = coords_array(FOUR_PAIR_POINTS)
+    weights = np.asarray(FOUR_PAIR_WEIGHTS, dtype=np.float64)
+    value = _objective_core(coords, weights, kb.centers, kb.labels, HaversineMetric())
+    assert value == direct.objective
 
 
 def test_sweep_more_runs_never_score_worse():

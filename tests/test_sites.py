@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sitepick.clustering import ClusterAssignment, HaversineMetric, kmeans
+from sitepick.clustering import HaversineMetric, kmeans
 from sitepick.errors import EmptyClusterError, ValidationError
 from sitepick.geo import coords_array, from_degrees, haversine
 from sitepick.io_pipeline import Quadrant, SurveyResponse
@@ -41,7 +41,7 @@ def test_representatives_are_cluster_members():
     weights = [0.6, 0.9, 0.7, 1.0, 0.8]
     result = kmeans(points, weights, k=2, seed=3)
     reps = select_representatives(
-        coords_array(points), result.assignment, coords_array(list(result.centers))
+        coords_array(points), result.assignment.labels, coords_array(list(result.centers))
     )
     assert len(reps) == 2
     assert [rep.cluster for rep in reps] == [0, 1]
@@ -56,18 +56,18 @@ def test_representatives_are_cluster_members():
 
 def test_singleton_cluster_represents_itself():
     points = [from_degrees(1.30, 103.80), from_degrees(2.20, 103.80)]
-    assignment = ClusterAssignment(labels=np.array([0, 1]), k=2)
+    labels = np.array([0, 1])
     centers = [points[0], points[1]]
-    reps = select_representatives(coords_array(points), assignment, coords_array(centers))
+    reps = select_representatives(coords_array(points), labels, coords_array(centers))
     assert [rep.point_index for rep in reps] == [0, 1]
     assert reps[0].distance_km == 0.0
 
 
 def test_equidistant_members_tie_to_lowest_index():
     points = [from_degrees(0.0, 0.01), from_degrees(0.0, -0.01)]
-    assignment = ClusterAssignment(labels=np.array([0, 0]), k=1)
+    labels = np.array([0, 0])
     center = [from_degrees(0.0, 0.0)]
-    reps = select_representatives(coords_array(points), assignment, coords_array(center))
+    reps = select_representatives(coords_array(points), labels, coords_array(center))
     assert reps[0].point_index == 0
 
 
@@ -77,7 +77,7 @@ def test_representative_is_a_real_point_not_the_midpoint():
     points = [from_degrees(1.30, 103.80), from_degrees(1.40, 103.90)]
     result = kmeans(points, [0.5, 1.0], k=1, seed=0)
     reps = select_representatives(
-        coords_array(points), result.assignment, coords_array(list(result.centers))
+        coords_array(points), result.assignment.labels, coords_array(list(result.centers))
     )
     assert reps[0].point_index == 1  # heavier point pulls the center toward it
     gap = haversine(points[0], points[1])
@@ -93,13 +93,9 @@ def test_representatives_follow_cluster_relabeling():
     ]
     labels = np.array([0, 0, 1, 1])
     centers = [from_degrees(1.305, 103.805), from_degrees(2.205, 103.805)]
-    forward = select_representatives(
-        coords_array(points), ClusterAssignment(labels=labels, k=2), coords_array(centers)
-    )
+    forward = select_representatives(coords_array(points), labels, coords_array(centers))
     swapped = select_representatives(
-        coords_array(points),
-        ClusterAssignment(labels=1 - labels, k=2),
-        coords_array(centers[::-1]),
+        coords_array(points), 1 - labels, coords_array(centers[::-1])
     )
     assert {r.point_index for r in forward} == {r.point_index for r in swapped}
     assert forward[0].point_index == swapped[1].point_index
@@ -107,14 +103,23 @@ def test_representatives_follow_cluster_relabeling():
 
 def test_select_representatives_rejects_bad_input():
     points = [from_degrees(1.30, 103.80), from_degrees(1.31, 103.81)]
-    all_zero = ClusterAssignment(labels=np.array([0, 0]), k=2)
+    all_zero = np.array([0, 0])
     centers = [points[0], points[1]]
     with pytest.raises(EmptyClusterError):
         select_representatives(coords_array(points), all_zero, coords_array(centers))
     with pytest.raises(ValidationError):
         select_representatives(coords_array(points[:1]), all_zero, coords_array(centers))
+    # Too few centers: a label names a cluster that has no center.
     with pytest.raises(ValidationError):
-        select_representatives(coords_array(points), all_zero, coords_array(centers[:1]))
+        select_representatives(coords_array(points), np.array([0, 1]), coords_array(centers[:1]))
+
+
+def test_select_representatives_rejects_out_of_range_labels():
+    points = [from_degrees(1.30, 103.80), from_degrees(1.31, 103.81)]
+    centers = coords_array([points[0], points[1]])
+    for labels in (np.array([0, 2]), np.array([-1, 1])):
+        with pytest.raises(ValidationError):
+            select_representatives(coords_array(points), labels, centers)
 
 
 def test_site_ids_sort_by_region_then_latitude():
@@ -125,7 +130,7 @@ def test_site_ids_sort_by_region_then_latitude():
         source(1.20, 103.84, region="CBD"),
         source(1.33, 103.70, region="West"),
     ]
-    report = assign_site_ids(reps, "A", sources)
+    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
     assert isinstance(report, SiteReport)
     assert [r.site_id for r in report.records] == ["A01", "A02", "A03", "A04"]
     assert [r.cluster for r in report.records] == [2, 1, 0, 3]
@@ -141,7 +146,7 @@ def test_unknown_regions_sort_after_known_ones():
         source(1.2, 103.2, region="Central"),
         source(1.3, 103.3, region="Albury"),
     ]
-    report = assign_site_ids(reps, "C", sources)
+    report = assign_site_ids(reps, Quadrant.CALM_TRANQUIL, sources)
     assert [r.region for r in report.records] == ["Central", "Albury", "UNKNOWN", "Zetland"]
     assert [r.site_id for r in report.records] == ["C01", "C02", "C03", "C04"]
 
@@ -149,8 +154,8 @@ def test_unknown_regions_sort_after_known_ones():
 def test_custom_region_order():
     reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(2)]
     sources = [source(1.0, 103.0, region="East"), source(1.1, 103.1, region="West")]
-    default = assign_site_ids(reps, "B", sources)
-    flipped = assign_site_ids(reps, "B", sources, region_order=("West", "East"))
+    default = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
+    flipped = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources, region_order=("West", "East"))
     assert [r.region for r in default.records] == ["East", "West"]
     assert [r.region for r in flipped.records] == ["West", "East"]
     assert DEFAULT_REGION_ORDER[0] == "CBD"
@@ -162,20 +167,20 @@ def test_ties_fall_back_to_point_index():
         Representative(cluster=1, point_index=1, distance_km=0.0),
     ]
     sources = [source(1.0, 103.0) for _ in range(4)]
-    report = assign_site_ids(reps, "D", sources)
+    report = assign_site_ids(reps, Quadrant.LIFELESS_BORING, sources)
     assert [r.cluster for r in report.records] == [1, 0]
 
 
 def test_site_id_padding_grows_with_count():
     reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(15)]
     sources = [source(1.0 + 0.01 * i, 103.0) for i in range(15)]
-    report = assign_site_ids(reps, "A", sources)
+    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
     assert report.records[0].site_id == "A01"
     assert report.records[-1].site_id == "A15"
 
     reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(100)]
     sources = [source(1.0 + 0.001 * i, 103.0) for i in range(100)]
-    report = assign_site_ids(reps, "B", sources)
+    report = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
     assert report.records[0].site_id == "B001"
     assert report.records[-1].site_id == "B100"
 
@@ -183,7 +188,7 @@ def test_site_id_padding_grows_with_count():
 def test_site_coordinates_are_verbatim():
     reps = [Representative(cluster=0, point_index=0, distance_km=0.25)]
     sources = [source(1.291598203, 103.84653, region="CBD", row=17)]
-    report = assign_site_ids(reps, "A", sources)
+    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
     record = report.records[0]
     assert record.lat_deg == 1.291598203
     assert record.lon_deg == 103.84653
@@ -192,10 +197,7 @@ def test_site_coordinates_are_verbatim():
 
 
 def test_assign_site_ids_validates_input():
-    reps = [Representative(cluster=0, point_index=0, distance_km=0.0)]
     sources = [source(1.0, 103.0)]
-    with pytest.raises(ValidationError):
-        assign_site_ids(reps, "E", sources)
     bad = [Representative(cluster=0, point_index=5, distance_km=0.0)]
     with pytest.raises(ValidationError):
-        assign_site_ids(bad, "A", sources)
+        assign_site_ids(bad, Quadrant.FULL_OF_LIFE_EXCITING, sources)
