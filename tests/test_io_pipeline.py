@@ -16,6 +16,7 @@ from sitepick.io_pipeline import (
     Quadrant,
     QuadrantSummary,
     RunManifest,
+    SurveyResponse,
     build_weighted_points,
     export_dunn_curve,
     export_geojson,
@@ -212,6 +213,100 @@ def test_parse_keeps_optional_columns():
     response = parse(rows).responses[0]
     assert response.cadence == "weekly"
     assert response.rationale == "close to work"
+
+
+def _response(row, participant, quadrant, region, lat, lon, category, minutes, **optional):
+    return SurveyResponse(
+        participant_id=participant, quadrant=quadrant, region=region, lat_deg=lat,
+        lon_deg=lon, visit_count_category=category, avg_duration_min=minutes, row=row,
+        **optional,
+    )
+
+
+def test_parse_pins_every_diagnostic_in_order():
+    # BOM, renamed columns in a shuffled order and both optional columns.
+    text = "\r\n".join(
+        [
+            "id,quadrant,lat,lng,region,visits,avg_duration_min,how_often,rationale",
+            "p1, Calm  AND tranquil ,1.3,103.8, CBD ,4 to 6 times,5,weekly,near home",
+            "p2,A,abc,103.8,CBD,1 to 3,5,,",
+            "p3,A,nan,103.8,CBD,1 to 3,5,,",
+            "p4,A,1.3,inf,CBD,1 to 3,-inf,,",
+            "p5,A,91.5,103.8,CBD,1 to 3,5,,",
+            "p6,E,1.3,103.8,CBD,1 to 3,5,,",
+            "p7,A,1.3,103.8,CBD,weekly,5,,",
+            "p8,A,1.3,103.8,CBD,1 to 3,-4,,",
+            "   ",
+            ", ,\t,",
+            "p9,Z,1e999,xyz",
+            "p10",
+            'p11,b,-90,200,"West, far",10 OR MORE,-0.0,daily,"two\nlines"',
+            "p12,D,1,2,North,7 to 9,3,,,extra",
+            "",
+        ]
+    )
+    column_map = {
+        "participant_id": "id", "latitude_deg": "lat", "longitude_deg": "lng",
+        "visit_count_category": "visits", "cadence": "how_often",
+    }
+    result = parse_responses(b"\xef\xbb\xbf" + text.encode("utf-8"), column_map=column_map)
+    brackets = "'1 to 3', '4 to 6', '7 to 9', '10 or more'"
+    assert [(d.row, d.column, d.message) for d in result.diagnostics] == [
+        (3, "lat", "not a number: 'abc'"),
+        (4, "lat", "not finite: 'nan'"),
+        (5, "lng", "not finite: 'inf'"),
+        (5, "avg_duration_min", "not finite: '-inf'"),
+        (6, "lat", "latitude 91.5 outside [-90, 90]"),
+        (7, "quadrant", "unknown quadrant 'E'"),
+        (8, "visits", f"expected one of {brackets}, got 'weekly'"),
+        (9, "avg_duration_min", "negative duration -4.0"),
+        (12, "quadrant", "unknown quadrant 'Z'"),
+        (12, "region", "missing value"),
+        (12, "lat", "not finite: '1e999'"),
+        (12, "lng", "not a number: 'xyz'"),
+        (12, "visits", "missing value"),
+        (12, "avg_duration_min", "missing value"),
+        (12, "how_often", "missing value"),
+        (12, "rationale", "missing value"),
+        (13, "quadrant", "missing value"),
+        (13, "region", "missing value"),
+        (13, "lat", "missing value"),
+        (13, "lng", "missing value"),
+        (13, "visits", "missing value"),
+        (13, "avg_duration_min", "missing value"),
+        (13, "how_often", "missing value"),
+        (13, "rationale", "missing value"),
+    ]
+    assert result.responses == [
+        _response(2, "p1", Quadrant.CALM_TRANQUIL, "CBD", 1.3, 103.8,
+                  FrequencyCategory.FOUR_TO_SIX, 5.0, cadence="weekly", rationale="near home"),
+        _response(14, "p11", Quadrant.CHAOTIC_RESTLESS, "West, far", -90.0, 200.0,
+                  FrequencyCategory.TEN_OR_MORE, -0.0, cadence="daily", rationale="two\nlines"),
+        _response(15, "p12", Quadrant.LIFELESS_BORING, "North", 1.0, 2.0,
+                  FrequencyCategory.SEVEN_TO_NINE, 3.0, cadence="", rationale=""),
+    ]
+    assert result.total_rows == 12
+
+
+def test_parse_pins_a_header_without_optional_columns():
+    text = HEADER + "\np1,A,CBD,1.0,103.0,1 to 3,5\np2,A,CBD,-91\n\np3,A\n"
+    result = parse(text)
+    assert [(d.row, d.column, d.message) for d in result.diagnostics] == [
+        (3, "latitude_deg", "latitude -91.0 outside [-90, 90]"),
+        (3, "longitude_deg", "missing value"),
+        (3, "visit_count_category", "missing value"),
+        (3, "avg_duration_min", "missing value"),
+        (5, "region", "missing value"),
+        (5, "latitude_deg", "missing value"),
+        (5, "longitude_deg", "missing value"),
+        (5, "visit_count_category", "missing value"),
+        (5, "avg_duration_min", "missing value"),
+    ]
+    assert result.responses == [
+        _response(2, "p1", Quadrant.FULL_OF_LIFE_EXCITING, "CBD", 1.0, 103.0,
+                  FrequencyCategory.ONE_TO_THREE, 5.0),
+    ]
+    assert result.total_rows == 3
 
 
 # --- weighting glue ---
