@@ -43,6 +43,7 @@ from .io_pipeline import (
     Quadrant,
     QuadrantSummary,
     RunManifest,
+    SurveyResponse,
     build_weighted_points,
     export_dunn_curve,
     export_geojson,
@@ -189,8 +190,7 @@ def _parse_survey(
     except OSError as exc:
         raise ConfigError(f"cannot read input {config.input!r}: {exc}") from exc
     parsed = parse_responses(data, column_map=column_map, strict=config.strict)
-    for diagnostic in parsed.diagnostics:
-        print(f"warning: {diagnostic}", file=sys.stderr)
+    sys.stderr.write("".join(f"warning: {diagnostic}\n" for diagnostic in parsed.diagnostics))
     return data, parsed
 
 
@@ -216,22 +216,33 @@ def _write(directory: Path, files: "list[tuple[str, bytes]]") -> None:
         raise ConfigError(f"cannot write into {str(directory)!r}: {exc.strerror or exc}") from exc
 
 
+def _csv_field(text: str) -> str:
+    """text as csv's QUOTE_MINIMAL writer renders it with its default line
+    terminator: quoted, inner quotes doubled, when it holds a comma, a quote,
+    a CR or a LF; otherwise unchanged."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def cmd_weights(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     _, parsed = _parse_survey(config, _load_column_map(args.column_map))
     out_dir = Path(config.output_dir)
     lines = ["source_row,participant_id,quadrant,region,frequency_factor,avg_duration_min,weight"]
     summary = ["quadrant,label,n_points,auc"]
+    by_quadrant: dict[Quadrant, list[SurveyResponse]] = {quadrant: [] for quadrant in Quadrant}
+    for response in parsed.responses:
+        by_quadrant[response.quadrant].append(response)
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
         weights: list[float] = []
-        for response in parsed.responses:
-            if response.quadrant is not quadrant:
-                continue
+        for response in by_quadrant[quadrant]:
             factor = frequency_weight(response.visit_count_category)
             weights.append(reliability_weight(factor, response.avg_duration_min))
             lines.append(
-                f"{response.row},{response.participant_id},{letter},{response.region},"
+                f"{response.row},{_csv_field(response.participant_id)},{letter},"
+                f"{_csv_field(response.region)},"
                 f"{factor},{response.avg_duration_min:.6f},{weights[-1]:.12f}"
             )
         n = len(weights)

@@ -18,7 +18,7 @@ import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +48,15 @@ class Quadrant(enum.Enum):
     @classmethod
     def from_token(cls, token: str) -> "Quadrant":
         """Resolve a quadrant from its letter or its descriptive label."""
-        cleaned = " ".join(token.split()).casefold()
-        for quadrant in cls:
-            if cleaned == quadrant.letter.casefold() or cleaned == quadrant.label:
-                return quadrant
-        raise ValidationError(f"unknown quadrant {token!r}")
+        quadrant = _QUADRANT_BY_TOKEN.get(" ".join(token.split()).casefold())
+        if quadrant is None:
+            raise ValidationError(f"unknown quadrant {token!r}")
+        return quadrant
+
+
+_QUADRANT_BY_TOKEN = {
+    token: quadrant for quadrant in Quadrant for token in (quadrant.letter.casefold(), quadrant.label)
+}
 
 
 REQUIRED_COLUMNS = (
@@ -67,7 +71,7 @@ REQUIRED_COLUMNS = (
 OPTIONAL_COLUMNS = ("cadence", "rationale")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurveyResponse:
     """One accepted survey row."""
 
@@ -143,6 +147,40 @@ def _parse_category(token: str) -> FrequencyCategory:
     return category
 
 
+_MISSING = "missing value"
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text's lines, each ending at and keeping its "\\n": what io.StringIO(text)
+    yields, without StringIO's copy of the whole text."""
+    start = 0
+    while (end := text.find("\n", start) + 1) > 0:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
+
+
+def _number(raw: Optional[str]) -> "float | str":
+    """The finite float a cell holds, or the diagnostic message for the cell."""
+    if raw is None:
+        return _MISSING
+    try:
+        value = float(raw)
+    except ValueError:
+        return f"not a number: {raw!r}"
+    return value if math.isfinite(value) else f"not finite: {raw!r}"
+
+
+def _remember(memo: dict, parse: Callable[[str], object], raw: str) -> object:
+    """parse(raw), or the text of the ValidationError it raises, kept in memo."""
+    try:
+        memo[raw] = parse(raw)
+    except ValidationError as exc:
+        memo[raw] = str(exc)
+    return memo[raw]
+
+
 def parse_responses(
     data: "bytes | str",
     column_map: Mapping[str, str] | None = None,
@@ -166,122 +204,87 @@ def parse_responses(
             ) from None
     else:
         text = data
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_lines(text))
     header = next(reader, None)
     if header is None:
         raise ParseError("input has no header row")
-    names = [cell.strip() for cell in header]
-    position = {name: i for i, name in enumerate(names)}
-    column_map = dict(column_map or {})
+    position = {cell.strip(): i for i, cell in enumerate(header)}
+    column_map = column_map or {}
+    actual = {c: column_map.get(c, c) for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
+    for canonical in REQUIRED_COLUMNS:
+        if actual[canonical] not in position:
+            raise ParseError(f"required column {actual[canonical]!r} not found in header")
+    at = [position.get(name) for name in actual.values()]
+    (participant_at, quadrant_at, region_at, lat_at, lon_at, category_at, duration_at,
+     cadence_at, rationale_at) = at
+    width = 1 + max(i for i in at if i is not None)
 
-    actual: dict[str, str] = {}
-    indices: dict[str, int] = {}
-    for canonical in REQUIRED_COLUMNS + OPTIONAL_COLUMNS:
-        name = column_map.get(canonical, canonical)
-        actual[canonical] = name
-        if name in position:
-            indices[canonical] = position[name]
-        elif canonical in REQUIRED_COLUMNS:
-            raise ParseError(f"required column {name!r} not found in header")
-
+    # Raw token -> its Quadrant / FrequencyCategory, or its diagnostic message.
+    quadrants: dict = {None: _MISSING}
+    categories: dict = {None: _MISSING}
     responses: list[SurveyResponse] = []
     diagnostics: list[RowDiagnostic] = []
     total = 0
-    for row_number, cells in enumerate(reader, start=2):
-        if not any(cell.strip() for cell in cells):
+    # Cells are checked in canonical column order; a row cut short is padded
+    # with None, so its "missing value" diagnostics interleave in that order.
+    for row, cells in enumerate(reader, start=2):
+        if not "".join(cells).strip():
             continue
         total += 1
-        issues: list[RowDiagnostic] = []
+        if len(cells) < width:
+            cells += [None] * (width - len(cells))
+        reported = len(diagnostics)
 
-        def cell(canonical: str) -> Optional[str]:
-            index = indices.get(canonical)
-            if index is None:
-                return None
-            if index >= len(cells):
-                issues.append(
-                    RowDiagnostic(row_number, actual[canonical], "missing value")
-                )
-                return None
-            return cells[index]
-
-        def parse_float(canonical: str, raw: Optional[str]) -> Optional[float]:
-            if raw is None:
-                return None
-            try:
-                value = float(raw)
-            except ValueError:
-                issues.append(
-                    RowDiagnostic(row_number, actual[canonical], f"not a number: {raw!r}")
-                )
-                return None
-            if not math.isfinite(value):
-                issues.append(
-                    RowDiagnostic(row_number, actual[canonical], f"not finite: {raw!r}")
-                )
-                return None
-            return value
-
-        participant = (cell("participant_id") or "").strip()
-
-        quadrant: Optional[Quadrant] = None
-        raw_quadrant = cell("quadrant")
-        if raw_quadrant is not None:
-            try:
-                quadrant = Quadrant.from_token(raw_quadrant)
-            except ValidationError as exc:
-                issues.append(RowDiagnostic(row_number, actual["quadrant"], str(exc)))
-
-        region = (cell("region") or "").strip()
-
-        lat = parse_float("latitude_deg", cell("latitude_deg"))
-        if lat is not None and not -90.0 <= lat <= 90.0:
-            issues.append(
-                RowDiagnostic(
-                    row_number, actual["latitude_deg"], f"latitude {lat} outside [-90, 90]"
-                )
+        participant = cells[participant_at]
+        if participant is None:
+            diagnostics.append(RowDiagnostic(row, actual["participant_id"], _MISSING))
+        raw = cells[quadrant_at]
+        quadrant = quadrants.get(raw) or _remember(quadrants, Quadrant.from_token, raw)
+        if type(quadrant) is str:
+            diagnostics.append(RowDiagnostic(row, actual["quadrant"], quadrant))
+        region = cells[region_at]
+        if region is None:
+            diagnostics.append(RowDiagnostic(row, actual["region"], _MISSING))
+        lat = _number(cells[lat_at])
+        if type(lat) is str:
+            diagnostics.append(RowDiagnostic(row, actual["latitude_deg"], lat))
+        elif not -90.0 <= lat <= 90.0:
+            diagnostics.append(
+                RowDiagnostic(row, actual["latitude_deg"], f"latitude {lat} outside [-90, 90]")
             )
-            lat = None
-        lon = parse_float("longitude_deg", cell("longitude_deg"))
-
-        category: Optional[FrequencyCategory] = None
-        raw_category = cell("visit_count_category")
-        if raw_category is not None:
-            try:
-                category = _parse_category(raw_category)
-            except ValidationError as exc:
-                issues.append(
-                    RowDiagnostic(row_number, actual["visit_count_category"], str(exc))
-                )
-
-        duration = parse_float("avg_duration_min", cell("avg_duration_min"))
-        if duration is not None and duration < 0.0:
-            issues.append(
-                RowDiagnostic(
-                    row_number, actual["avg_duration_min"], f"negative duration {duration}"
-                )
+        lon = _number(cells[lon_at])
+        if type(lon) is str:
+            diagnostics.append(RowDiagnostic(row, actual["longitude_deg"], lon))
+        raw = cells[category_at]
+        category = categories.get(raw) or _remember(categories, _parse_category, raw)
+        if type(category) is str:
+            diagnostics.append(RowDiagnostic(row, actual["visit_count_category"], category))
+        duration = _number(cells[duration_at])
+        if type(duration) is str:
+            diagnostics.append(RowDiagnostic(row, actual["avg_duration_min"], duration))
+        elif duration < 0.0:
+            diagnostics.append(
+                RowDiagnostic(row, actual["avg_duration_min"], f"negative duration {duration}")
             )
-            duration = None
+        cadence = rationale = None
+        if cadence_at is not None:
+            cadence = cells[cadence_at]
+            if cadence is None:
+                diagnostics.append(RowDiagnostic(row, actual["cadence"], _MISSING))
+        if rationale_at is not None:
+            rationale = cells[rationale_at]
+            if rationale is None:
+                diagnostics.append(RowDiagnostic(row, actual["rationale"], _MISSING))
 
-        cadence = cell("cadence")
-        rationale = cell("rationale")
-
-        if issues:
-            diagnostics.extend(issues)
+        if len(diagnostics) > reported:
             continue
-        assert quadrant is not None and category is not None
-        assert lat is not None and lon is not None and duration is not None
+        # Positional, in field order: keyword arguments made building 140k
+        # responses about 45% slower.
         responses.append(
             SurveyResponse(
-                participant_id=participant,
-                quadrant=quadrant,
-                region=region,
-                lat_deg=lat,
-                lon_deg=lon,
-                visit_count_category=category,
-                avg_duration_min=duration,
-                row=row_number,
-                cadence=cadence.strip() if cadence is not None else None,
-                rationale=rationale.strip() if rationale is not None else None,
+                participant.strip(), quadrant, region.strip(), lat, lon, category, duration, row,
+                cadence.strip() if cadence is not None else None,
+                rationale.strip() if rationale is not None else None,
             )
         )
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import csv
 import errno
 import json
 import pathlib
@@ -94,6 +95,29 @@ def test_weights_zero_duration_floor(tmp_path):
     assert main(["weights", str(survey), "-o", str(out), "--quadrant", "B"]) == 0
     auc_lines = (out / "auc_summary.csv").read_text().splitlines()
     assert auc_lines[1] == "B,chaotic and restless,2,0.500000000000"
+
+
+def test_weights_csv_quotes_fields_that_need_it(tmp_path):
+    survey = write_survey(
+        tmp_path,
+        [
+            '"P,1",A,"Central, North",1.35,103.94,1 to 3,5',
+            '"say ""hi""",A,"two\nlines",1.35,103.94,4 to 6,5',
+            '"P\r3",A,"a\rb",1.35,103.94,1 to 3,5',
+            "p4,A,East,1.35,103.94,1 to 3,5",
+        ],
+    )
+    out = tmp_path / "out"
+    assert main(["weights", str(survey), "-o", str(out)]) == 0
+    with open(out / "weights.csv", encoding="utf-8", newline="") as handle:
+        records = list(csv.reader(handle))
+    assert [len(record) for record in records] == [7] * 5
+    assert [record[1] for record in records[1:]] == ["P,1", 'say "hi"', "P\r3", "p4"]
+    assert [record[3] for record in records[1:]] == ["Central, North", "two\nlines", "a\rb", "East"]
+    # A field that needs no quoting is written as before.
+    assert (out / "weights.csv").read_text(encoding="utf-8").splitlines()[-1].startswith(
+        "5,p4,A,East,1,5.000000,"
+    )
 
 
 # --- cluster ---

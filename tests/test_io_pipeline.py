@@ -4,11 +4,15 @@ Export assertions check raw bytes, not parsed structures, because the
 artifact contract is byte-stability across reruns and platforms.
 """
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sitepick.errors import ConfigError, ParseError, ValidationError
 from sitepick.geo import coords_array, from_degrees
@@ -17,6 +21,7 @@ from sitepick.io_pipeline import (
     QuadrantSummary,
     RunManifest,
     SurveyResponse,
+    _lines,
     build_weighted_points,
     export_dunn_curve,
     export_geojson,
@@ -307,6 +312,23 @@ def test_parse_pins_a_header_without_optional_columns():
                   FrequencyCategory.ONE_TO_THREE, 5.0),
     ]
     assert result.total_rows == 3
+
+
+def _records(lines):
+    try:
+        return list(csv.reader(lines))
+    except csv.Error as exc:
+        return str(exc)
+
+
+@given(
+    pieces=st.lists(st.sampled_from(["\n", "\r", "\r\n", "\x0c", "\x85", "\u2028", '"', ",", "a"])),
+    trailing_newline=st.booleans(),
+)
+def test_lines_split_exactly_as_stringio(pieces, trailing_newline):
+    text = "".join(pieces) + ("\n" if trailing_newline else "")
+    assert list(_lines(text)) == list(io.StringIO(text))
+    assert _records(_lines(text)) == _records(io.StringIO(text))
 
 
 # --- weighting glue ---
