@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .clustering import (
-    ClusterAssignment,
     ClusteringResult,
     DistanceMetric,
     HaversineMetric,
@@ -50,7 +49,6 @@ from .sites import (
     DEFAULT_REGION_ORDER,
     Representative,
     SiteRecord,
-    SiteReport,
     assign_site_ids,
     select_representatives,
 )

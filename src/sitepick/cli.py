@@ -307,12 +307,12 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             print(f"warning: quadrant {letter}: best run at k={best.k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
         representatives = select_representatives(points.coords, best.labels, best.centers, metric)
-        report = assign_site_ids(
+        sites = assign_site_ids(
             representatives, quadrant, points.responses, region_order=config.region_order
         )
         artifacts += [
-            (f"clusters_{letter}.geojson", export_geojson(points, best, report)),
-            (f"sites_{letter}.csv", export_site_table(report)),
+            (f"clusters_{letter}.geojson", export_geojson(points, best, sites)),
+            (f"sites_{letter}.csv", export_site_table(sites)),
             (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
         ]
         manifest.quadrants[letter] = QuadrantSummary(
@@ -324,11 +324,11 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             best_dunn=best.dunn.value,
             min_inter_km=best.dunn.min_inter_km,
             max_intra_km=best.dunn.max_intra_km,
-            sites=len(report.records),
+            sites=len(sites),
         )
         print(
             f"quadrant {letter} ({quadrant.label}): n={n} auc={auc:.4f} "
-            f"k={swept.optimal_k} dunn={best.dunn.value:.4f} sites={len(report.records)}"
+            f"k={swept.optimal_k} dunn={best.dunn.value:.4f} sites={len(sites)}"
         )
     if not manifest.quadrants:
         raise ConfigError("no selected quadrant had any responses")

@@ -16,6 +16,10 @@ to data points, so they read rows of the full pairwise matrix
 (`_distance_matrix`) that the caller builds once and shares across runs.
 The matrix is bitwise symmetric, so a row is exactly the column a direct
 metric call would return.
+
+Points, centers and labels travel as arrays: coordinates are (n, 2)
+[lat, lon] radian arrays, centers (k, 2) arrays of the same form, and a
+partition is one label per point in [0, k).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyClusterError, ValidationError
-from .geo import EARTH, EarthModel, GeoPoint, coords_array, haversine_km
+from .geo import EARTH, EarthModel, haversine_km
 from .rng import SplitMix64
 
 DEFAULT_MAX_ITERATIONS = 300
@@ -149,33 +153,12 @@ def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ClusterAssignment:
-    """Per-point cluster labels forming a partition into k clusters."""
-
-    labels: np.ndarray
-    k: int
-
-    def __post_init__(self) -> None:
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if labels.ndim != 1:
-            raise ValidationError("labels must be a flat sequence")
-        if self.k < 1:
-            raise ValidationError(f"cluster count must be >= 1, got {self.k}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-            raise ValidationError("every label must lie in [0, k)")
-
-    def members(self, cluster: int) -> np.ndarray:
-        """Ascending point indices assigned to a cluster."""
-        return np.flatnonzero(self.labels == cluster)
-
-
-@dataclass(frozen=True, eq=False)
 class ClusteringResult:
-    """Converged (or capped) output of one weighted k-means run."""
+    """Converged (or capped) output of one weighted k-means run: (k, 2)
+    [lat, lon] radian centers and each point's label in [0, k)."""
 
-    centers: tuple[GeoPoint, ...]
-    assignment: ClusterAssignment
+    centers: np.ndarray
+    labels: np.ndarray
     iterations: int
     converged: bool
     seed: int
@@ -187,21 +170,21 @@ def _validate_weights(weights: np.ndarray) -> None:
         raise ValidationError("weights must be finite and positive")
 
 
-def weighted_center(points: "list[GeoPoint]", weights: "list[float]") -> GeoPoint:
-    """Weighted per-coordinate mean of a cluster's points.
+def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
+    """Weighted per-coordinate mean of a cluster's (n, 2) [lat, lon] radian
+    coordinates, as a (2,) array.
 
     With equal weights this is the ordinary coordinate mean. Raises
     EmptyClusterError for an empty cluster so the caller can repair it.
     """
-    if len(points) == 0:
+    if len(coords) == 0:
         raise EmptyClusterError("cannot take the center of an empty cluster")
-    if len(points) != len(weights):
-        raise ValidationError(f"{len(points)} points but {len(weights)} weights")
-    coords = coords_array(points)
+    if len(coords) != len(weights):
+        raise ValidationError(f"{len(coords)} points but {len(weights)} weights")
     w = np.asarray(weights, dtype=np.float64)
-    labels = np.zeros(len(points), dtype=np.int64)
-    lat, lon = _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
-    return GeoPoint(float(lat), float(lon))
+    _validate_weights(w)
+    labels = np.zeros(len(coords), dtype=np.int64)
+    return _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
 
 
 def _weighted_draw(probabilities: np.ndarray, rng: SplitMix64) -> int:
@@ -311,9 +294,6 @@ def _update_centers(
     totals = np.array(
         [np.add.reduce(sorted_weights[a:b]) for a, b in zip(starts.tolist(), stops.tolist())]
     )
-    positive = totals > 0.0
-    if not positive.all():
-        raise ValidationError(f"sum of weights must be positive, got {totals[~positive][0]}")
     offset = coords[:, 1] - coords[order[starts], 1][labels]
     unwrapped = coords[:, 1] - np.copysign(2.0 * np.pi, offset)
     weighted_lon = np.where(np.abs(offset) > np.pi, weights * unwrapped, weighted[:, 1])
@@ -361,14 +341,15 @@ def _kmeans_core(
 
 
 def kmeans(
-    points: "list[GeoPoint]",
-    weights: "list[float]",
+    coords: np.ndarray,
+    weights: "list[float] | np.ndarray",
     k: int,
     metric: DistanceMetric | None = None,
     seed: int = 0,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> ClusteringResult:
-    """Cluster points into k groups by alternating assignment and weighted means.
+    """Cluster an (n, 2) [lat, lon] radian array into k groups by alternating
+    assignment and weighted means.
 
     Points are assigned to the metric-nearest center (ties to the lowest
     center index); centers are recomputed as weighted coordinate means.
@@ -377,7 +358,7 @@ def kmeans(
     matrix for seeding and repair, 8 * n^2 bytes (18 MB at n = 1500).
     """
     metric = metric if metric is not None else HaversineMetric()
-    n = len(points)
+    n = len(coords)
     if n == 0:
         raise ValidationError("cannot cluster zero points")
     if not 1 <= k <= n:
@@ -386,16 +367,14 @@ def kmeans(
         raise ValidationError(f"{n} points but {len(weights)} weights")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
-    coords = coords_array(points)
     w = np.asarray(weights, dtype=np.float64)
     _validate_weights(w)
     centers, labels, iterations, converged = _kmeans_core(
         _distance_matrix(coords, metric), coords, w, k, metric, seed, max_iterations
     )
-    assignment = ClusterAssignment(labels=labels, k=k)
     return ClusteringResult(
-        centers=tuple(GeoPoint(float(lat), float(lon)) for lat, lon in centers),
-        assignment=assignment,
+        centers=centers,
+        labels=labels,
         iterations=iterations,
         converged=converged,
         seed=seed,

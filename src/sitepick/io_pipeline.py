@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError, ConfigError, ValidationError
 from .geo import coords_array, from_degrees
 from .model_selection import KBest, SweepResult
-from .sites import SiteReport
+from .sites import SiteRecord
 from .weighting import FrequencyCategory, frequency_weight, reliability_weight
 
 
@@ -161,6 +161,14 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
+def _records(reader) -> Iterator[list[str]]:
+    """reader's records, with a csv.Error raised as a ParseError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"input is not valid CSV on line {reader.line_num}: {exc}") from None
+
+
 def _number(raw: Optional[str]) -> "float | str":
     """The finite float a cell holds, or the diagnostic message for the cell."""
     if raw is None:
@@ -204,7 +212,7 @@ def parse_responses(
             ) from None
     else:
         text = data
-    reader = csv.reader(_lines(text))
+    reader = _records(csv.reader(_lines(text)))
     header = next(reader, None)
     if header is None:
         raise ParseError("input has no header row")
@@ -344,7 +352,7 @@ def _feature(lon_deg: float, lat_deg: float, properties: "list[tuple[str, str]]"
     )
 
 
-def export_geojson(points: QuadrantPoints, best: KBest, report: SiteReport) -> bytes:
+def export_geojson(points: QuadrantPoints, best: KBest, sites: "tuple[SiteRecord, ...]") -> bytes:
     """One FeatureCollection holding responses, centers and sites.
 
     Coordinates are [lon, lat] in degrees with 12 fixed decimal places.
@@ -354,8 +362,8 @@ def export_geojson(points: QuadrantPoints, best: KBest, report: SiteReport) -> b
     labels = best.labels
     if len(points.responses) != labels.size:
         raise ValidationError(f"{len(points.responses)} points but {labels.size} labels")
-    if len(report.records) != best.k:
-        raise ValidationError(f"site report has {len(report.records)} records for k={best.k}")
+    if len(sites) != best.k:
+        raise ValidationError(f"{len(sites)} site records for k={best.k}")
     features: list[str] = []
     for index, (response, weight) in enumerate(zip(points.responses, points.weights.tolist())):
         features.append(
@@ -379,7 +387,7 @@ def export_geojson(points: QuadrantPoints, best: KBest, report: SiteReport) -> b
                 [("role", json.dumps("center")), ("cluster", str(cluster))],
             )
         )
-    for record in report.records:
+    for record in sites:
         features.append(
             _feature(
                 record.lon_deg,
@@ -401,12 +409,12 @@ def export_geojson(points: QuadrantPoints, best: KBest, report: SiteReport) -> b
     return document.encode("utf-8")
 
 
-def export_site_table(report: SiteReport) -> bytes:
+def export_site_table(sites: "tuple[SiteRecord, ...]") -> bytes:
     """Site CSV with degree coordinates printed to 9 decimal places."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["ID", "Region", "Latitude_deg", "Longitude_deg", "SourceRow"])
-    for record in report.records:
+    for record in sites:
         writer.writerow(
             [
                 record.site_id,

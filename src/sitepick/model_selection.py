@@ -31,7 +31,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .clustering import (
-    ClusterAssignment,
     DistanceMetric,
     HaversineMetric,
     _distance_matrix,
@@ -40,7 +39,6 @@ from .clustering import (
     DEFAULT_MAX_ITERATIONS,
 )
 from .errors import DegenerateClusteringError, SweepError, ValidationError
-from .geo import GeoPoint, coords_array
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
@@ -79,8 +77,6 @@ class SweepResult:
     per_k: "dict[int, Optional[KBest]]"
     optimal_k: int
     k_range: tuple[int, ...]
-    runs_per_k: int
-    base_seed: int
 
     @property
     def best(self) -> KBest:
@@ -98,11 +94,12 @@ def default_k_max(n: int) -> int:
 
 
 def dunn_index(
-    points: "list[GeoPoint]",
-    assignment: ClusterAssignment,
+    coords: np.ndarray,
+    labels: np.ndarray,
     metric: DistanceMetric | None = None,
 ) -> DunnScore:
-    """Minimum pointwise inter-cluster distance over maximum cluster diameter.
+    """Minimum pointwise inter-cluster distance over maximum cluster diameter
+    of an (n, 2) [lat, lon] radian array partitioned by one label per point.
 
     Needs at least two non-empty clusters. When every cluster is a bundle of
     coincident points the largest diameter is zero and the ratio is
@@ -110,12 +107,14 @@ def dunn_index(
     infinity, because such a partition carries no separation information.
     """
     metric = metric if metric is not None else HaversineMetric()
-    labels = assignment.labels
-    if labels.size != len(points):
-        raise ValidationError(f"{len(points)} points but {labels.size} labels")
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError("labels must be a flat sequence")
+    if labels.size != len(coords):
+        raise ValidationError(f"{len(coords)} points but {labels.size} labels")
     if np.unique(labels).size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
-    score = _dunn_from_matrix(_distance_matrix(coords_array(points), metric), labels)
+    score = _dunn_from_matrix(_distance_matrix(coords, metric), labels)
     if score is None:
         raise DegenerateClusteringError(
             "every cluster has zero diameter; the Dunn ratio is undefined"
@@ -257,6 +256,4 @@ def sweep(
         per_k=dict(zip(ks, bests)),
         optimal_k=optimal.k,
         k_range=tuple(ks),
-        runs_per_k=runs_per_k,
-        base_seed=base_seed,
     )

@@ -48,15 +48,6 @@ class SiteRecord:
     lon_deg: float
     region: str
     source_row: int
-    distance_km: float
-
-
-@dataclass(frozen=True)
-class SiteReport:
-    """Labelled, deterministically ordered sites for one quadrant."""
-
-    quadrant_letter: str
-    records: tuple[SiteRecord, ...]
 
 
 def select_representatives(
@@ -100,7 +91,7 @@ def assign_site_ids(
     quadrant: "Quadrant",
     sources: Sequence["SurveyResponse"],
     region_order: Sequence[str] = DEFAULT_REGION_ORDER,
-) -> SiteReport:
+) -> "tuple[SiteRecord, ...]":
     """Label representatives as sites like "A01" and order them for reporting.
 
     Sites sort by region (in region_order, unknown regions alphabetically
@@ -138,7 +129,6 @@ def assign_site_ids(
                 lon_deg=source.lon_deg,
                 region=source.region.strip() or "UNKNOWN",
                 source_row=source.row,
-                distance_km=rep.distance_km,
             )
         )
-    return SiteReport(quadrant_letter=quadrant.letter, records=tuple(records))
+    return tuple(records)

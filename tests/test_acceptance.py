@@ -23,10 +23,9 @@ from sitepick.clustering import (
     kmeans,
     weighted_center,
 )
-from sitepick.geo import from_degrees, haversine, haversine_km
+from sitepick.geo import coords_array, from_degrees, haversine, haversine_km
 from sitepick.io_pipeline import Quadrant, build_weighted_points, parse_responses
 from sitepick.model_selection import dunn_index, sweep
-from sitepick.clustering import ClusterAssignment
 from sitepick.rng import SplitMix64, derive_seed
 from sitepick.weighting import reliability_auc, reliability_weight, reliability_weights
 
@@ -170,7 +169,7 @@ def test_criterion_4():
         coords = np.array([[p.lat, p.lon] for p in points])
         optimum = exhaustive_min_objective(coords, np.array(weights), k)
         best = min(
-            kmeans(points, weights, k=k, seed=seed).objective for seed in range(20)
+            kmeans(coords, weights, k=k, seed=seed).objective for seed in range(20)
         )
         if best <= optimum * (1.0 + 1e-9) + 1e-12:
             matched += 1
@@ -179,10 +178,10 @@ def test_criterion_4():
         replicated = []
         for point, weight in zip(points, weights):
             replicated.extend([point] * int(round(weight * 8)))
-        fractional = weighted_center(points, weights)
-        expanded = weighted_center(replicated, [1.0] * len(replicated))
-        assert abs(fractional.lat - expanded.lat) <= 1e-12
-        assert abs(fractional.lon - expanded.lon) <= 1e-12
+        fractional = weighted_center(coords_array(points), weights)
+        expanded = weighted_center(coords_array(replicated), [1.0] * len(replicated))
+        assert abs(fractional[0] - expanded[0]) <= 1e-12
+        assert abs(fractional[1] - expanded[1]) <= 1e-12
 
     assert matched >= math.ceil(0.95 * cases), f"only {matched}/{cases} optimal"
     elapsed = time.perf_counter() - start
@@ -197,7 +196,7 @@ def test_criterion_5():
         from_degrees(1.00, 0.0),
         from_degrees(1.01, 0.0),
     ]
-    score = dunn_index(points, ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2))
+    score = dunn_index(coords_array(points), np.array([0, 0, 1, 1]))
     assert abs(score.value - 99.0) <= 99.0 * 0.001
 
     grid = [from_degrees(0.03 * i + 0.001 * (i % 5), 0.02 * (i * i % 11)) for i in range(24)]
@@ -207,15 +206,13 @@ def test_criterion_5():
         k = 2 + rng.randrange(4)
         labels = [rng.randrange(k) for _ in range(n)]
         labels[0], labels[1], labels[2] = 0, 0, 1
-        base = dunn_index(grid, ClusterAssignment(labels=np.array(labels), k=k))
+        base = dunn_index(coords_array(grid), np.array(labels))
 
         mapping = list(range(k))
         for i in range(k - 1, 0, -1):  # Fisher-Yates
             j = rng.randrange(i + 1)
             mapping[i], mapping[j] = mapping[j], mapping[i]
-        relabeled = dunn_index(
-            grid, ClusterAssignment(labels=np.array([mapping[v] for v in labels]), k=k)
-        )
+        relabeled = dunn_index(coords_array(grid), np.array([mapping[v] for v in labels]))
         assert relabeled == base
 
         order = list(range(n))
@@ -223,8 +220,7 @@ def test_criterion_5():
             j = rng.randrange(i + 1)
             order[i], order[j] = order[j], order[i]
         reordered = dunn_index(
-            [grid[i] for i in order],
-            ClusterAssignment(labels=np.array([labels[i] for i in order]), k=k),
+            coords_array([grid[i] for i in order]), np.array([labels[i] for i in order])
         )
         assert reordered == base
 

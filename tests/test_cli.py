@@ -437,6 +437,24 @@ def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (HEADER + "\r" + "\r".join(TWO_REGION_ROWS) + "\r", 1),
+        (HEADER + "\n" + "\n".join(TWO_REGION_ROWS).replace("West", "We\rst", 1) + "\n", 4),
+    ],
+    ids=["bare-CR line endings", "bare CR in an unquoted cell"],
+)
+def test_stray_carriage_return_is_a_parse_error(tmp_path, capsys, text, line):
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(text.encode("utf-8"))
+    assert main(["weights", str(survey), "-o", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: input is not valid CSV on line {line}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_output_dir_under_a_file_is_a_usage_error(tmp_path, capsys):
     survey = write_survey(tmp_path, TWO_REGION_ROWS)
     blocker = tmp_path / "afile"

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from sitepick.clustering import (
-    ClusterAssignment,
     ClusteringResult,
     HaversineMetric,
     PlanarMetric,
@@ -41,12 +40,14 @@ GROUPED_POINTS = [
     from_degrees(2.21, 103.81),
     from_degrees(2.19, 103.79),
 ]
+GROUPED = coords_array(GROUPED_POINTS)
 GROUPED_WEIGHTS = [0.5, 0.75, 1.0, 0.6, 0.9, 0.8]
 
 # Six points near Fiji, on both sides of the antimeridian.
 FIJI_POINTS = [
     from_degrees(lat, lon) for lat in (-16.0, -17.0, -18.0) for lon in (179.95, -179.95)
 ]
+FIJI = coords_array(FIJI_POINTS)
 
 
 def exhaustive_best_objective(points, weights, k):
@@ -210,66 +211,53 @@ def test_planar_assign_is_the_plain_argmin():
     assert np.array_equal(metric.assign(points, centers), want)
 
 
-# --- assignment container ---
-
-
-def test_assignment_validates_labels():
-    with pytest.raises(ValidationError):
-        ClusterAssignment(labels=np.array([0, 2]), k=2)
-    with pytest.raises(ValidationError):
-        ClusterAssignment(labels=np.array([-1, 0]), k=2)
-    with pytest.raises(ValidationError):
-        ClusterAssignment(labels=np.array([[0], [1]]), k=2)
-    with pytest.raises(ValidationError):
-        ClusterAssignment(labels=np.array([0]), k=0)
-
-
-def test_assignment_members_ascending():
-    assignment = ClusterAssignment(labels=np.array([1, 0, 1, 0, 1]), k=2)
-    assert assignment.members(0).tolist() == [1, 3]
-    assert assignment.members(1).tolist() == [0, 2, 4]
-    assert assignment.members(0).dtype == np.int64
-
-
 # --- weighted centers ---
 
 
 def test_weighted_center_equal_weights_is_mean():
-    points = GROUPED_POINTS[:3]
-    center = weighted_center(points, [0.7, 0.7, 0.7])
-    coords = coords_array(points)
-    assert center.lat == pytest.approx(float(coords[:, 0].mean()), abs=1e-15)
-    assert center.lon == pytest.approx(float(coords[:, 1].mean()), abs=1e-15)
+    coords = GROUPED[:3]
+    center = weighted_center(coords, [0.7, 0.7, 0.7])
+    assert center[0] == pytest.approx(float(coords[:, 0].mean()), abs=1e-15)
+    assert center[1] == pytest.approx(float(coords[:, 1].mean()), abs=1e-15)
 
 
 def test_weighted_center_singleton():
-    point = GROUPED_POINTS[0]
-    assert weighted_center([point], [0.51]) == point
+    assert np.array_equal(weighted_center(GROUPED[:1], [0.51]), GROUPED[0])
 
 
 def test_weighted_center_matches_replication():
     # Weights 0.5 and 0.75 scale to 2 and 3 copies; the weighted mean of the
     # pair must equal the plain mean of the replicated multiset.
-    x1 = from_degrees(1.30, 103.80)
-    x2 = from_degrees(1.35, 103.90)
-    weighted = weighted_center([x1, x2], [0.5, 0.75])
-    replicated = weighted_center([x1, x1, x2, x2, x2], [1.0] * 5)
-    assert abs(weighted.lat - replicated.lat) <= 1e-12
-    assert abs(weighted.lon - replicated.lon) <= 1e-12
+    coords = coords_array([from_degrees(1.30, 103.80), from_degrees(1.35, 103.90)])
+    weighted = weighted_center(coords, [0.5, 0.75])
+    replicated = weighted_center(coords[[0, 0, 1, 1, 1]], [1.0] * 5)
+    assert abs(weighted[0] - replicated[0]) <= 1e-12
+    assert abs(weighted[1] - replicated[1]) <= 1e-12
 
 
 def test_weighted_center_rejects_bad_input():
     with pytest.raises(EmptyClusterError):
-        weighted_center([], [])
+        weighted_center(GROUPED[:0], [])
     with pytest.raises(ValidationError, match="2 points but 1 weights"):
-        weighted_center(GROUPED_POINTS[:2], [1.0])
-    with pytest.raises(ValidationError, match="sum of weights"):
-        weighted_center(GROUPED_POINTS[:2], [0.0, 0.0])
+        weighted_center(GROUPED[:2], [1.0])
+    with pytest.raises(ValidationError, match="finite and positive"):
+        weighted_center(GROUPED[:2], [0.0, 0.0])
+
+
+def test_weighted_center_validates_weights_as_kmeans_does():
+    # Unchecked, a negative weight puts the center outside both points' box
+    # and an infinite one makes it NaN.
+    coords = coords_array([from_degrees(1.0, 103.0), from_degrees(2.0, 104.0)])
+    for weights in ([1.0, -0.5], [math.inf, 1.0]):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            kmeans(coords, weights, k=1)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            weighted_center(coords, weights)
 
 
 def test_weighted_center_across_antimeridian_is_on_it():
-    points = [from_degrees(0.0, 179.0), from_degrees(0.0, -179.0)]
-    assert weighted_center(points, [1.0, 1.0]).lon == math.pi
+    coords = coords_array([from_degrees(0.0, 179.0), from_degrees(0.0, -179.0)])
+    assert weighted_center(coords, [1.0, 1.0])[1] == math.pi
 
 
 @given(
@@ -292,11 +280,11 @@ def test_weighted_center_stays_in_bounding_box(latlon, data):
             max_size=len(points),
         )
     )
-    center = weighted_center(points, weights)
+    lat, lon = weighted_center(coords_array(points), weights)
     lats = [p.lat for p in points]
     lons = [p.lon for p in points]
-    assert min(lats) - 1e-12 <= center.lat <= max(lats) + 1e-12
-    assert min(lons) - 1e-12 <= center.lon <= max(lons) + 1e-12
+    assert min(lats) - 1e-12 <= lat <= max(lats) + 1e-12
+    assert min(lons) - 1e-12 <= lon <= max(lons) + 1e-12
 
 
 def reference_centers(coords, weights, labels, k):
@@ -505,9 +493,9 @@ def test_repair_leaves_dist_equal_to_the_metric_on_the_new_centers(metric):
 def test_kmeans_recovers_separated_groups():
     expected = {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
     for seed in range(20):
-        result = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=2, seed=seed)
+        result = kmeans(GROUPED, GROUPED_WEIGHTS, k=2, seed=seed)
         got = {
-            frozenset(result.assignment.members(j).tolist())
+            frozenset(np.flatnonzero(result.labels == j).tolist())
             for j in range(2)
         }
         assert got == expected
@@ -517,7 +505,7 @@ def test_kmeans_recovers_separated_groups():
 def test_kmeans_attains_exhaustive_minimum():
     oracle = exhaustive_best_objective(GROUPED_POINTS, GROUPED_WEIGHTS, 2)
     best = min(
-        kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=2, seed=seed).objective
+        kmeans(GROUPED, GROUPED_WEIGHTS, k=2, seed=seed).objective
         for seed in range(20)
     )
     assert best == pytest.approx(oracle, rel=1e-9)
@@ -526,61 +514,56 @@ def test_kmeans_attains_exhaustive_minimum():
 def test_kmeans_k_equals_n():
     # Singleton centers come back through the weighted-mean update (w*x/w),
     # which can wobble by an ulp, so the objective is tiny rather than zero.
-    result = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=6, seed=1)
+    result = kmeans(GROUPED, GROUPED_WEIGHTS, k=6, seed=1)
     assert result.objective <= 1e-20
-    assert sorted(result.assignment.labels.tolist()) == [0, 1, 2, 3, 4, 5]
-    for j, center in enumerate(result.centers):
-        member = GROUPED_POINTS[int(result.assignment.members(j)[0])]
-        assert center.lat == pytest.approx(member.lat, abs=1e-15)
-        assert center.lon == pytest.approx(member.lon, abs=1e-15)
+    assert sorted(result.labels.tolist()) == [0, 1, 2, 3, 4, 5]
+    for j, (lat, lon) in enumerate(result.centers):
+        member = GROUPED_POINTS[int(np.flatnonzero(result.labels == j)[0])]
+        assert lat == pytest.approx(member.lat, abs=1e-15)
+        assert lon == pytest.approx(member.lon, abs=1e-15)
 
 
 def test_kmeans_k_one_is_weighted_center():
-    result = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=1, seed=9)
-    center = weighted_center(GROUPED_POINTS, GROUPED_WEIGHTS)
-    assert result.centers[0] == center
+    result = kmeans(GROUPED, GROUPED_WEIGHTS, k=1, seed=9)
+    center = weighted_center(GROUPED, GROUPED_WEIGHTS)
+    assert np.array_equal(result.centers[0], center)
     assert result.converged
 
 
 def test_kmeans_is_deterministic():
-    a = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=3, seed=42)
-    b = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=3, seed=42)
-    assert a.centers == b.centers
-    assert np.array_equal(a.assignment.labels, b.assignment.labels)
+    a = kmeans(GROUPED, GROUPED_WEIGHTS, k=3, seed=42)
+    b = kmeans(GROUPED, GROUPED_WEIGHTS, k=3, seed=42)
+    assert np.array_equal(a.centers, b.centers)
+    assert np.array_equal(a.labels, b.labels)
     assert a.iterations == b.iterations
     assert a.objective == b.objective
 
 
 def test_kmeans_converged_state_is_a_fixed_point():
-    result = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=2, seed=5)
+    result = kmeans(GROUPED, GROUPED_WEIGHTS, k=2, seed=5)
     assert result.converged
     metric = HaversineMetric()
-    coords = coords_array(GROUPED_POINTS)
-    centers = coords_array(list(result.centers))
-    recheck = metric.pairwise(coords, centers).argmin(axis=1)
-    assert np.array_equal(recheck, result.assignment.labels)
+    recheck = metric.pairwise(GROUPED, result.centers).argmin(axis=1)
+    assert np.array_equal(recheck, result.labels)
     for j in range(2):
-        members = result.assignment.members(j)
-        again = weighted_center(
-            [GROUPED_POINTS[i] for i in members],
-            [GROUPED_WEIGHTS[i] for i in members],
-        )
-        assert again == result.centers[j]
+        members = np.flatnonzero(result.labels == j)
+        again = weighted_center(GROUPED[members], [GROUPED_WEIGHTS[i] for i in members])
+        assert np.array_equal(again, result.centers[j])
 
 
 def test_kmeans_converges_across_antimeridian():
-    result = kmeans(FIJI_POINTS, [1.0] * 6, k=2, seed=0)
+    result = kmeans(FIJI, [1.0] * 6, k=2, seed=0)
     assert result.converged
-    for j, center in enumerate(result.centers):
-        members = [FIJI_POINTS[i] for i in result.assignment.members(j)]
+    for j, (center_lat, center_lon) in enumerate(result.centers):
+        members = [FIJI_POINTS[i] for i in np.flatnonzero(result.labels == j)]
         lat = sum(math.degrees(p.lat) for p in members) / len(members)
         lon = sum(math.degrees(p.lon) % 360.0 for p in members) / len(members)
-        assert abs(math.degrees(center.lat) - lat) < 0.1
-        assert abs(math.remainder(math.degrees(center.lon) - lon, 360.0)) < 0.1
+        assert abs(math.degrees(center_lat) - lat) < 0.1
+        assert abs(math.remainder(math.degrees(center_lon) - lon, 360.0)) < 0.1
 
 
 def test_kmeans_iteration_cap():
-    result = kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=2, seed=0, max_iterations=1)
+    result = kmeans(GROUPED, GROUPED_WEIGHTS, k=2, seed=0, max_iterations=1)
     assert result.iterations == 1
     assert not result.converged
 
@@ -590,25 +573,25 @@ def test_kmeans_repairs_duplicate_collapse():
     # the repair step must still deliver three non-empty clusters.
     a = from_degrees(1.30, 103.80)
     b = from_degrees(1.40, 103.90)
-    points = [a, a, a, b]
+    coords = coords_array([a, a, a, b])
     for seed in range(50):
-        result = kmeans(points, [1.0, 1.0, 1.0, 1.0], k=3, seed=seed)
-        counts = np.bincount(result.assignment.labels, minlength=3)
+        result = kmeans(coords, [1.0, 1.0, 1.0, 1.0], k=3, seed=seed)
+        counts = np.bincount(result.labels, minlength=3)
         assert counts.min() >= 1
         assert math.isfinite(result.objective)
 
 
 def test_kmeans_rejects_bad_input():
     with pytest.raises(ValidationError):
-        kmeans([], [], k=1)
+        kmeans(GROUPED[:0], [], k=1)
     with pytest.raises(ValidationError):
-        kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=7)
+        kmeans(GROUPED, GROUPED_WEIGHTS, k=7)
     with pytest.raises(ValidationError):
-        kmeans(GROUPED_POINTS, GROUPED_WEIGHTS[:-1], k=2)
+        kmeans(GROUPED, GROUPED_WEIGHTS[:-1], k=2)
     with pytest.raises(ValidationError):
-        kmeans(GROUPED_POINTS, [1.0, 1.0, 1.0, -1.0, 1.0, 1.0], k=2)
+        kmeans(GROUPED, [1.0, 1.0, 1.0, -1.0, 1.0, 1.0], k=2)
     with pytest.raises(ValidationError):
-        kmeans(GROUPED_POINTS, GROUPED_WEIGHTS, k=2, max_iterations=0)
+        kmeans(GROUPED, GROUPED_WEIGHTS, k=2, max_iterations=0)
 
 
 @settings(max_examples=40)
@@ -634,10 +617,10 @@ def test_kmeans_always_yields_full_partition(latlon, data):
     )
     k = data.draw(st.integers(min_value=1, max_value=len(points)))
     seed = data.draw(st.integers(min_value=0, max_value=2**64 - 1))
-    result = kmeans(points, weights, k=k, seed=seed)
+    result = kmeans(coords_array(points), weights, k=k, seed=seed)
     assert isinstance(result, ClusteringResult)
-    assert result.assignment.labels.size == len(points)
-    counts = np.bincount(result.assignment.labels, minlength=k)
+    assert result.labels.size == len(points)
+    counts = np.bincount(result.labels, minlength=k)
     assert counts.min() >= 1
     assert 1 <= result.iterations <= 300
     assert result.objective >= 0.0

@@ -370,14 +370,14 @@ def clustered_quadrant_a():
     weighted = build_weighted_points(responses, Quadrant.FULL_OF_LIFE_EXCITING)
     best = sweep(weighted.coords, weighted.weights, k_range=[2], runs_per_k=1, base_seed=1).best
     reps = select_representatives(weighted.coords, best.labels, best.centers)
-    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, weighted.responses)
-    return responses, weighted, best, report
+    sites = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, weighted.responses)
+    return responses, weighted, best, sites
 
 
 def test_export_geojson_structure_and_precision():
-    responses, weighted, best, report = clustered_quadrant_a()
-    raw = export_geojson(weighted, best, report)
-    assert raw == export_geojson(weighted, best, report)
+    responses, weighted, best, sites = clustered_quadrant_a()
+    raw = export_geojson(weighted, best, sites)
+    assert raw == export_geojson(weighted, best, sites)
     document = json.loads(raw)
     assert document["type"] == "FeatureCollection"
     features = document["features"]
@@ -397,7 +397,7 @@ def test_export_geojson_structure_and_precision():
 
 
 def test_export_geojson_validates_alignment():
-    _, weighted, best, report = clustered_quadrant_a()
+    _, weighted, best, sites = clustered_quadrant_a()
     shorter = dataclasses.replace(
         weighted,
         responses=weighted.responses[:-1],
@@ -405,15 +405,14 @@ def test_export_geojson_validates_alignment():
         weights=weighted.weights[:-1],
     )
     with pytest.raises(ValidationError):
-        export_geojson(shorter, best, report)
-    truncated = type(report)(quadrant_letter="A", records=report.records[:1])
+        export_geojson(shorter, best, sites)
     with pytest.raises(ValidationError):
-        export_geojson(weighted, best, truncated)
+        export_geojson(weighted, best, sites[:1])
 
 
 def test_export_site_table_bytes():
-    responses, _, _, report = clustered_quadrant_a()
-    raw = export_site_table(report)
+    responses, _, _, sites = clustered_quadrant_a()
+    raw = export_site_table(sites)
     lines = raw.decode("utf-8").splitlines()
     assert lines[0] == "ID,Region,Latitude_deg,Longitude_deg,SourceRow"
     assert len(lines) == 3
@@ -428,9 +427,7 @@ def test_export_site_table_bytes():
 
 
 def test_export_site_table_empty_report():
-    _, _, _, report = clustered_quadrant_a()
-    empty = type(report)(quadrant_letter="A", records=())
-    assert export_site_table(empty) == b"ID,Region,Latitude_deg,Longitude_deg,SourceRow\n"
+    assert export_site_table(()) == b"ID,Region,Latitude_deg,Longitude_deg,SourceRow\n"
 
 
 def test_export_dunn_curve_leaves_degenerate_rows_empty():

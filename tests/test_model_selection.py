@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sitepick.clustering import (
-    ClusterAssignment,
     HaversineMetric,
     PlanarMetric,
     _distance_matrix,
@@ -39,7 +38,8 @@ TWO_BAND_POINTS = [
     from_degrees(1.00, 0.0),
     from_degrees(1.01, 0.0),
 ]
-TWO_BAND_LABELS = ClusterAssignment(labels=np.array([0, 0, 1, 1]), k=2)
+TWO_BAND = coords_array(TWO_BAND_POINTS)
+TWO_BAND_LABELS = np.array([0, 0, 1, 1])
 
 # Four tight pairs, pairwise far apart.
 FOUR_PAIR_POINTS = [
@@ -95,7 +95,7 @@ def dunn_by_hand(points, labels):
 
 
 def test_dunn_two_band_reference():
-    score = dunn_index(TWO_BAND_POINTS, TWO_BAND_LABELS)
+    score = dunn_index(TWO_BAND, TWO_BAND_LABELS)
     assert isinstance(score, DunnScore)
     assert score.max_intra_km == pytest.approx(1.1119492664455874, abs=1e-9)
     assert score.min_inter_km == pytest.approx(110.08297737811314, abs=1e-9)
@@ -104,34 +104,35 @@ def test_dunn_two_band_reference():
 
 def test_dunn_matches_hand_computation():
     labels = [0, 1, 1, 0]
-    score = dunn_index(
-        TWO_BAND_POINTS, ClusterAssignment(labels=np.array(labels), k=2)
-    )
+    score = dunn_index(TWO_BAND, np.array(labels))
     assert score.value == pytest.approx(dunn_by_hand(TWO_BAND_POINTS, labels), rel=1e-12)
 
 
 def test_dunn_coincident_singletons_degenerate():
     p = from_degrees(1.3, 103.8)
     with pytest.raises(DegenerateClusteringError):
-        dunn_index([p, p], ClusterAssignment(labels=np.array([0, 1]), k=2))
+        dunn_index(coords_array([p, p]), np.array([0, 1]))
     q = from_degrees(1.4, 103.9)
     with pytest.raises(DegenerateClusteringError):
-        dunn_index([p, p, q], ClusterAssignment(labels=np.array([0, 0, 1]), k=2))
+        dunn_index(coords_array([p, p, q]), np.array([0, 0, 1]))
 
 
 def test_dunn_needs_two_clusters():
     with pytest.raises(ValidationError):
-        dunn_index(
-            TWO_BAND_POINTS, ClusterAssignment(labels=np.array([1, 1, 1, 1]), k=2)
-        )
+        dunn_index(TWO_BAND, np.array([1, 1, 1, 1]))
     with pytest.raises(ValidationError):
-        dunn_index(TWO_BAND_POINTS[:3], TWO_BAND_LABELS)
+        dunn_index(TWO_BAND[:3], TWO_BAND_LABELS)
+
+
+def test_dunn_rejects_labels_that_are_not_flat():
+    with pytest.raises(ValidationError, match="flat"):
+        dunn_index(TWO_BAND, TWO_BAND_LABELS.reshape(2, 2))
 
 
 def test_dunn_ratio_ignores_radius():
-    big = dunn_index(TWO_BAND_POINTS, TWO_BAND_LABELS)
+    big = dunn_index(TWO_BAND, TWO_BAND_LABELS)
     small = dunn_index(
-        TWO_BAND_POINTS,
+        TWO_BAND,
         TWO_BAND_LABELS,
         metric=HaversineMetric(earth=EarthModel(radius_km=1.0)),
     )
@@ -144,7 +145,7 @@ def test_dunn_ratio_ignores_radius():
 def test_dunn_invariant_under_relabeling_and_reordering(data):
     n = data.draw(st.integers(min_value=4, max_value=10))
     # Distinct grid points so every multi-member cluster has a real diameter.
-    points = [from_degrees(0.05 * i, 0.03 * (i * i % 7)) for i in range(n)]
+    points = coords_array([from_degrees(0.05 * i, 0.03 * (i * i % 7)) for i in range(n)])
     k = data.draw(st.integers(min_value=2, max_value=n - 1))
     labels = [
         data.draw(st.integers(min_value=0, max_value=k - 1)) for _ in range(n)
@@ -152,20 +153,15 @@ def test_dunn_invariant_under_relabeling_and_reordering(data):
     labels[0] = 0
     labels[1] = 0
     labels[2] = 1
-    base = dunn_index(points, ClusterAssignment(labels=np.array(labels), k=k))
+    base = dunn_index(points, np.array(labels))
 
     relabel = data.draw(st.permutations(list(range(k))))
     swapped = [relabel[v] for v in labels]
-    after_relabel = dunn_index(
-        points, ClusterAssignment(labels=np.array(swapped), k=k)
-    )
+    after_relabel = dunn_index(points, np.array(swapped))
     assert after_relabel == base
 
     order = data.draw(st.permutations(list(range(n))))
-    after_reorder = dunn_index(
-        [points[i] for i in order],
-        ClusterAssignment(labels=np.array([labels[i] for i in order]), k=k),
-    )
+    after_reorder = dunn_index(points[order], np.array([labels[i] for i in order]))
     assert after_reorder == base
 
 
@@ -205,13 +201,12 @@ def test_dunn_index_equals_condensed_reference_exactly(data):
         # Few distinct spots, so coincident points within and across clusters.
         picks = data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
         points = [spots[i] for i in picks]
-    assignment = ClusterAssignment(labels=labels, k=k)
     min_inter, max_intra = dunn_condensed(points, labels, metric)
     if max_intra == 0.0:
         with pytest.raises(DegenerateClusteringError):
-            dunn_index(points, assignment, metric=metric)
+            dunn_index(coords_array(points), labels, metric=metric)
         return
-    score = dunn_index(points, assignment, metric=metric)
+    score = dunn_index(coords_array(points), labels, metric=metric)
     assert score.min_inter_km == min_inter
     assert score.max_intra_km == max_intra
     assert score.value == min_inter / max_intra
@@ -317,10 +312,10 @@ def test_sweep_single_run_matches_direct_kmeans():
     expected_seed = derive_seed(base_seed, 3, 0)
     assert kb.seed == expected_seed
     assert kb.run_index == 0
-    direct = kmeans(FOUR_PAIR_POINTS, FOUR_PAIR_WEIGHTS, k=3, seed=expected_seed)
-    assert np.array_equal(kb.centers, coords_array(list(direct.centers)))
-    assert np.array_equal(kb.labels, direct.assignment.labels)
     coords = coords_array(FOUR_PAIR_POINTS)
+    direct = kmeans(coords, FOUR_PAIR_WEIGHTS, k=3, seed=expected_seed)
+    assert np.array_equal(kb.centers, direct.centers)
+    assert np.array_equal(kb.labels, direct.labels)
     weights = np.asarray(FOUR_PAIR_WEIGHTS, dtype=np.float64)
     value = _objective_core(coords, weights, kb.centers, kb.labels, HaversineMetric())
     assert value == direct.objective
@@ -401,3 +396,37 @@ def test_sweep_rejects_bad_arguments():
         sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS[:-1], k_range=[2])
     with pytest.raises(ValidationError):
         sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)
+
+
+# --- whole sphere ---
+
+# Four seeded blobs of 12 points near Singapore. Turning longitude by 180°
+# minus a blob's center longitude puts that blob across ±180°.
+_BLOB_CENTERS = ((1.0, 103.5), (1.6, 104.2), (0.7, 104.5), (1.9, 103.3))
+_BLOB_RNG = np.random.default_rng(2024)
+BLOB_LAT = np.concatenate([lat + _BLOB_RNG.normal(0.0, 0.08, 12) for lat, _ in _BLOB_CENTERS])
+BLOB_LON = np.concatenate([lon + _BLOB_RNG.normal(0.0, 0.08, 12) for _, lon in _BLOB_CENTERS])
+BLOB_WEIGHTS = _BLOB_RNG.uniform(0.5, 1.0, BLOB_LAT.size)
+ROTATIONS = (0.0, 90.0, -100.0, 75.5, 75.8, 76.5, 76.7, -283.7)
+
+
+def test_sweep_is_invariant_under_longitude_rotation():
+    def rotated_sweep(degrees):
+        coords = coords_array([from_degrees(a, b + degrees) for a, b in zip(BLOB_LAT, BLOB_LON)])
+        result = sweep(coords, BLOB_WEIGHTS, k_range=range(2, 7), runs_per_k=5, base_seed=0)
+        return coords, result
+
+    _, base = rotated_sweep(0.0)
+    straddled = set()
+    for degrees in ROTATIONS:
+        coords, result = rotated_sweep(degrees)
+        for blob in range(len(_BLOB_CENTERS)):
+            lon = coords[12 * blob : 12 * (blob + 1), 1]
+            if lon.min() < -np.pi / 2 and lon.max() > np.pi / 2:
+                straddled.add(blob)
+        assert result.optimal_k == base.optimal_k
+        for k in range(2, 7):
+            got, want = result.per_k[k], base.per_k[k]
+            assert np.array_equal(got.labels, want.labels), (degrees, k)
+            assert got.dunn.value == pytest.approx(want.dunn.value, rel=1e-9, abs=0.0)
+    assert straddled == set(range(len(_BLOB_CENTERS)))

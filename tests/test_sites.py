@@ -5,12 +5,12 @@ import pytest
 
 from sitepick.clustering import HaversineMetric, kmeans
 from sitepick.errors import EmptyClusterError, ValidationError
-from sitepick.geo import coords_array, from_degrees, haversine
+from sitepick.geo import GeoPoint, coords_array, from_degrees, haversine
 from sitepick.io_pipeline import Quadrant, SurveyResponse
 from sitepick.sites import (
     DEFAULT_REGION_ORDER,
     Representative,
-    SiteReport,
+    SiteRecord,
     assign_site_ids,
     select_representatives,
 )
@@ -39,19 +39,19 @@ def test_representatives_are_cluster_members():
         from_degrees(2.21, 103.81),
     ]
     weights = [0.6, 0.9, 0.7, 1.0, 0.8]
-    result = kmeans(points, weights, k=2, seed=3)
-    reps = select_representatives(
-        coords_array(points), result.assignment.labels, coords_array(list(result.centers))
-    )
+    result = kmeans(coords_array(points), weights, k=2, seed=3)
+    reps = select_representatives(coords_array(points), result.labels, result.centers)
     assert len(reps) == 2
     assert [rep.cluster for rep in reps] == [0, 1]
     for rep in reps:
-        assert rep.point_index in result.assignment.members(rep.cluster)
-        expected = haversine(points[rep.point_index], result.centers[rep.cluster])
+        members = np.flatnonzero(result.labels == rep.cluster)
+        center = GeoPoint(*result.centers[rep.cluster])
+        assert rep.point_index in members
+        expected = haversine(points[rep.point_index], center)
         assert rep.distance_km == pytest.approx(expected, abs=1e-12)
         # Nearest means no other member of the cluster is closer.
-        for other in result.assignment.members(rep.cluster):
-            assert rep.distance_km <= haversine(points[other], result.centers[rep.cluster]) + 1e-12
+        for other in members:
+            assert rep.distance_km <= haversine(points[other], center) + 1e-12
 
 
 def test_singleton_cluster_represents_itself():
@@ -75,10 +75,8 @@ def test_representative_is_a_real_point_not_the_midpoint():
     # A two-point cluster's center is the weighted midpoint, which is not a
     # surveyed location; the representative must be one of the inputs.
     points = [from_degrees(1.30, 103.80), from_degrees(1.40, 103.90)]
-    result = kmeans(points, [0.5, 1.0], k=1, seed=0)
-    reps = select_representatives(
-        coords_array(points), result.assignment.labels, coords_array(list(result.centers))
-    )
+    result = kmeans(coords_array(points), [0.5, 1.0], k=1, seed=0)
+    reps = select_representatives(coords_array(points), result.labels, result.centers)
     assert reps[0].point_index == 1  # heavier point pulls the center toward it
     gap = haversine(points[0], points[1])
     assert 0.0 < reps[0].distance_km < gap
@@ -130,12 +128,12 @@ def test_site_ids_sort_by_region_then_latitude():
         source(1.20, 103.84, region="CBD"),
         source(1.33, 103.70, region="West"),
     ]
-    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
-    assert isinstance(report, SiteReport)
-    assert [r.site_id for r in report.records] == ["A01", "A02", "A03", "A04"]
-    assert [r.cluster for r in report.records] == [2, 1, 0, 3]
-    assert [r.region for r in report.records] == ["CBD", "CBD", "East", "West"]
-    assert report.records[0].lat_deg == 1.20
+    sites = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
+    assert isinstance(sites, tuple) and all(isinstance(r, SiteRecord) for r in sites)
+    assert [r.site_id for r in sites] == ["A01", "A02", "A03", "A04"]
+    assert [r.cluster for r in sites] == [2, 1, 0, 3]
+    assert [r.region for r in sites] == ["CBD", "CBD", "East", "West"]
+    assert sites[0].lat_deg == 1.20
 
 
 def test_unknown_regions_sort_after_known_ones():
@@ -146,9 +144,9 @@ def test_unknown_regions_sort_after_known_ones():
         source(1.2, 103.2, region="Central"),
         source(1.3, 103.3, region="Albury"),
     ]
-    report = assign_site_ids(reps, Quadrant.CALM_TRANQUIL, sources)
-    assert [r.region for r in report.records] == ["Central", "Albury", "UNKNOWN", "Zetland"]
-    assert [r.site_id for r in report.records] == ["C01", "C02", "C03", "C04"]
+    sites = assign_site_ids(reps, Quadrant.CALM_TRANQUIL, sources)
+    assert [r.region for r in sites] == ["Central", "Albury", "UNKNOWN", "Zetland"]
+    assert [r.site_id for r in sites] == ["C01", "C02", "C03", "C04"]
 
 
 def test_custom_region_order():
@@ -156,8 +154,8 @@ def test_custom_region_order():
     sources = [source(1.0, 103.0, region="East"), source(1.1, 103.1, region="West")]
     default = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
     flipped = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources, region_order=("West", "East"))
-    assert [r.region for r in default.records] == ["East", "West"]
-    assert [r.region for r in flipped.records] == ["West", "East"]
+    assert [r.region for r in default] == ["East", "West"]
+    assert [r.region for r in flipped] == ["West", "East"]
     assert DEFAULT_REGION_ORDER[0] == "CBD"
 
 
@@ -167,33 +165,31 @@ def test_ties_fall_back_to_point_index():
         Representative(cluster=1, point_index=1, distance_km=0.0),
     ]
     sources = [source(1.0, 103.0) for _ in range(4)]
-    report = assign_site_ids(reps, Quadrant.LIFELESS_BORING, sources)
-    assert [r.cluster for r in report.records] == [1, 0]
+    sites = assign_site_ids(reps, Quadrant.LIFELESS_BORING, sources)
+    assert [r.cluster for r in sites] == [1, 0]
 
 
 def test_site_id_padding_grows_with_count():
     reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(15)]
     sources = [source(1.0 + 0.01 * i, 103.0) for i in range(15)]
-    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
-    assert report.records[0].site_id == "A01"
-    assert report.records[-1].site_id == "A15"
+    sites = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
+    assert sites[0].site_id == "A01"
+    assert sites[-1].site_id == "A15"
 
     reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(100)]
     sources = [source(1.0 + 0.001 * i, 103.0) for i in range(100)]
-    report = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
-    assert report.records[0].site_id == "B001"
-    assert report.records[-1].site_id == "B100"
+    sites = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
+    assert sites[0].site_id == "B001"
+    assert sites[-1].site_id == "B100"
 
 
 def test_site_coordinates_are_verbatim():
     reps = [Representative(cluster=0, point_index=0, distance_km=0.25)]
     sources = [source(1.291598203, 103.84653, region="CBD", row=17)]
-    report = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
-    record = report.records[0]
+    (record,) = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
     assert record.lat_deg == 1.291598203
     assert record.lon_deg == 103.84653
     assert record.source_row == 17
-    assert record.distance_km == 0.25
 
 
 def test_assign_site_ids_validates_input():
