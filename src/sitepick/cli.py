@@ -392,8 +392,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,
                         help="processes for the k sweep, at most one per k and per CPU; "
-                             "each holds an 8*n*n-byte distance matrix; results do not "
-                             "depend on this")
+                             "each holds an 8*n*n-byte distance matrix and up to 2 MB of "
+                             "k-means scratch; results do not depend on this")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,10 @@ to data points, so they read rows of the full pairwise matrix
 The matrix is bitwise symmetric, so a row is exactly the column a direct
 metric call would return.
 
+Restarts of one k run as a batch (`_kmeans_batch`): seeding, assignment and
+center update each take all of the batch's runs in one array operation, and
+every run's result is bitwise the one it gives alone, as a batch of one.
+
 Points, centers and labels travel as arrays: coordinates are (n, 2)
 [lat, lon] radian arrays, centers (k, 2) arrays of the same form, and a
 partition is one label per point in [0, k).
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -40,8 +45,15 @@ DEFAULT_MAX_ITERATIONS = 300
 _MATRIX_BLOCK_ROWS = 256
 
 
+# Elements of the (runs, k, n) float64 nearest-center scratch of one batch of
+# k-means runs (`HaversineMetric.assigner`): at most 8 * 2**18 bytes = 2 MB
+# whatever the number of runs. A batch holds _BATCH_ELEMENTS // (n * k) runs,
+# and at least one.
+_BATCH_ELEMENTS = 2**18
+
+
 # Absolute margin on unit-vector dot products within which two centers count
-# as tied for nearest; HaversineMetric.assign derives why it is safe.
+# as tied for nearest; HaversineMetric.assigner derives why it is safe.
 _DOT_TIE_MARGIN = 1e-13
 
 
@@ -66,7 +78,15 @@ class DistanceMetric(ABC):
 
     def assign(self, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Index of each point's nearest center, ties to the lowest index."""
-        return self.pairwise(coords, centers).argmin(axis=1)
+        return self.assigner(coords, 1, len(centers))(centers[None])[0]
+
+    def assigner(
+        self, coords: np.ndarray, runs: int, k: int
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """`assign` for a batch: a function from an (R, k, 2) array of R <= runs
+        center sets to the (R, n) labels of `coords` under each set. Scratch
+        the batch needs is allocated here, once."""
+        return lambda centers: np.stack([self.pairwise(coords, c).argmin(axis=1) for c in centers])
 
 
 @dataclass(frozen=True)
@@ -84,21 +104,26 @@ class HaversineMetric(DistanceMetric):
     def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1], radius_km=self.earth.radius_km)
 
-    def assign(self, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Nearest center of each point, equal to `pairwise(...).argmin(axis=1)`.
+    def assigner(
+        self, coords: np.ndarray, runs: int, k: int
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """Nearest centers equal to `pairwise(...).argmin(axis=1)` per center set.
 
         The great-circle angle falls as cos(angle) = dot of the unit vectors
-        rises, so the nearest center is the argmax of D = U @ C.T. A row is
-        recomputed by `pairwise`, whose argmin breaks ties to the lowest
-        index, when a second center's dot lies within T = _DOT_TIE_MARGIN of
-        the row's best, or when the best dot is negative (nearest center over
-        90 degrees away). Every other row has one center j with D_j >= 0 and
-        D_i < D_j - T for all i != j, and haversine ranks j strictly first:
+        rises, so the nearest center is the argmax of D = C @ U.T. The point
+        vectors U are computed once per batch, and D for every center set
+        goes into one (runs, k, n) buffer. A point is recomputed by
+        `pairwise`, whose argmin breaks ties to the lowest index, when a
+        second center's dot lies within T = _DOT_TIE_MARGIN of its best, or
+        when the best dot is negative (nearest center over 90 degrees away).
+        Every other point has one center j with D_j >= 0 and D_i < D_j - T
+        for all i != j, and haversine ranks j strictly first:
 
         - Dot rounding. With u = 2**-53, each unit-vector component is a
           product of at most two rounded sines and cosines, and the dot adds
-          three rounded terms, so |D_i - cos(angle_i)| <= eps_dot <= 10u,
-          about 1.1e-15.
+          three rounded products (fused or not, in any order, as BLAS
+          chooses), so |D_i - cos(angle_i)| <= eps_dot <= 10u, about
+          1.1e-15.
         - Angle gap. D_j - D_i > T gives cos(angle_j) - cos(angle_i) >
           T - 2*eps_dot, and |d cos(a)/da| = |sin(a)| <= 1, so
           angle_i - angle_j > T - 2*eps_dot too, about 1e-13.
@@ -109,22 +134,44 @@ class HaversineMetric(DistanceMetric):
           of the exact half angle: eps_hav ~ 1e-15 on the distance in
           radians. D_j >= 0 puts the winner there (to within eps_dot).
           Beyond 90 degrees 1 - h cancels and the angle can be off by
-          sqrt(u) ~ 1e-8, which is why those rows fall back.
+          sqrt(u) ~ 1e-8, which is why those points fall back.
         - Result. A loser up to 90 degrees (+ T) comes out at least
           T - 2*eps_dot - 2*eps_hav > 0.9 T farther than j; one beyond has
           h > 1/2 + T/4, so it comes out past 90 degrees by about T/2, while
           j is at most eps_dot + eps_hav past it. The margin is ~50x the
           rounding, and scaling by the radius is monotone, so the distance
           argmin is j and unique.
+
+        So the labels do not depend on how D is rounded, only on that bound.
+        The buffer is overwritten with the 0/1 mask D >= max(D) - T, and one
+        product with [1, ..., 1] and [0, 1, ..., k - 1] gives each point's
+        count of near-best centers and, where that count is 1, the index of
+        its only one; both are exact small integers.
+
+        The stacked matmul makes one (k, 3) @ (3, n) BLAS call per center
+        set. A single (n, 3) @ (3, R*k) product for the batch would cross
+        OpenBLAS's threading threshold: at n = 335, R*k = 600 it took 16 ms
+        against 0.1 ms for the stacked form with two such processes on
+        2 CPUs.
         """
-        dots = _unit_vectors(coords) @ _unit_vectors(centers).T
-        labels = dots.argmax(axis=1)
-        best = dots[np.arange(labels.size), labels]
-        near_tie = np.count_nonzero(dots >= (best - _DOT_TIE_MARGIN)[:, None], axis=1) > 1
-        rows = np.flatnonzero(near_tie | (best < 0.0))
-        if rows.size:
-            labels[rows] = self.pairwise(coords[rows], centers).argmin(axis=1)
-        return labels
+        points = _unit_vectors(coords).T.copy()
+        dots = np.empty((runs, k, len(coords)))
+        count_and_index = np.vstack([np.ones(k), np.arange(k)])
+
+        def assign(centers: np.ndarray) -> np.ndarray:
+            batch = dots[: len(centers)]
+            np.matmul(_unit_vectors(centers.reshape(-1, 2)).reshape(-1, k, 3), points, out=batch)
+            best = batch.max(axis=1)
+            np.greater_equal(batch, (best - _DOT_TIE_MARGIN)[:, None, :], out=batch)
+            near, index = np.moveaxis(np.matmul(count_and_index, batch), 1, 0)
+            labels = index.astype(np.intp)
+            redo = (near > 1.0) | (best < 0.0)
+            for run in np.flatnonzero(redo.any(axis=1)):
+                rows = np.flatnonzero(redo[run])
+                labels[run, rows] = self.pairwise(coords[rows], centers[run]).argmin(axis=1)
+            return labels
+
+        return assign
 
 
 @dataclass(frozen=True)
@@ -165,6 +212,14 @@ class ClusteringResult:
     objective: float
 
 
+def _validate_coords(coords: np.ndarray) -> None:
+    if not (isinstance(coords, np.ndarray) and coords.dtype == np.float64
+            and coords.shape[1:] == (2,)):
+        raise ValidationError("coords must be an (n, 2) float64 array of [lat, lon] radians")
+    if not np.isfinite(coords).all():
+        raise ValidationError("coords must be finite")
+
+
 def _validate_weights(weights: np.ndarray) -> None:
     if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
         raise ValidationError("weights must be finite and positive")
@@ -177,6 +232,7 @@ def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> 
     With equal weights this is the ordinary coordinate mean. Raises
     EmptyClusterError for an empty cluster so the caller can repair it.
     """
+    _validate_coords(coords)
     if len(coords) == 0:
         raise EmptyClusterError("cannot take the center of an empty cluster")
     if len(coords) != len(weights):
@@ -187,34 +243,43 @@ def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> 
     return _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
 
 
-def _weighted_draw(probabilities: np.ndarray, rng: SplitMix64) -> int:
-    cumulative = np.cumsum(probabilities)
-    u = rng.random() * float(cumulative[-1])
-    idx = int(np.searchsorted(cumulative, u, side="right"))
-    return min(idx, probabilities.size - 1)
+def _kmeanspp_batch(matrix: np.ndarray, k: int, rngs: "list[SplitMix64]") -> np.ndarray:
+    """(R, k) indices of the seed points of R runs, each drawn with its own
+    generator from the (n, n) distance matrix.
+
+    The runs share every array operation. Sums and cumulative sums along a
+    row of a C-contiguous array are bitwise numpy's 1-D ones over that row,
+    so every run draws the indices it would draw alone.
+    """
+    n = matrix.shape[0]
+    chosen = np.empty((len(rngs), k), dtype=np.intp)
+    nearest = np.full((len(rngs), n), np.inf)
+    probabilities = np.full((len(rngs), n), 1.0 / n)
+    flat = np.zeros(len(rngs), dtype=bool)
+    for step in range(k):
+        if step:
+            np.minimum(nearest, matrix[chosen[:, step - 1]], out=nearest)
+            squared = nearest * nearest
+            total = squared.sum(axis=1)
+            flat = ~(total > 0.0)
+            probabilities = squared / np.where(flat, 1.0, total)[:, None]
+        cumulative = np.cumsum(probabilities, axis=1)
+        draws = [0.0 if skip else rng.random() for rng, skip in zip(rngs, flat.tolist())]
+        u = np.array(draws) * cumulative[:, -1]
+        # searchsorted(row, u, side="right") for every nondecreasing row.
+        chosen[:, step] = np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), n - 1)
+        for run in np.flatnonzero(flat):
+            # Every remaining point coincides with a chosen center, so the
+            # squared-distance rule is 0/0; fall back to a uniform draw over
+            # the indices not yet chosen.
+            unchosen = sorted(set(range(n)) - set(chosen[run, :step].tolist()))
+            chosen[run, step] = unchosen[rngs[run].randrange(len(unchosen))]
+    return chosen
 
 
 def _kmeanspp_core(matrix: np.ndarray, k: int, rng: SplitMix64) -> list[int]:
     """Indices of the k seed points, drawn from the (n, n) distance matrix."""
-    n = matrix.shape[0]
-    nearest = np.full(n, np.inf)
-    probabilities: np.ndarray | None = np.full(n, 1.0 / n)
-    chosen: list[int] = []
-    for _ in range(k):
-        if probabilities is None:
-            # Every remaining point coincides with a chosen center, so the
-            # squared-distance rule is 0/0; fall back to a uniform draw over
-            # the indices not yet chosen.
-            unchosen = sorted(set(range(n)) - set(chosen))
-            idx = unchosen[rng.randrange(len(unchosen))]
-        else:
-            idx = _weighted_draw(probabilities, rng)
-        chosen.append(idx)
-        np.minimum(nearest, matrix[idx], out=nearest)
-        squared = nearest * nearest
-        total = float(squared.sum())
-        probabilities = squared / total if total > 0.0 else None
-    return chosen
+    return _kmeanspp_batch(matrix, k, [rng])[0].tolist()
 
 
 def _repair_empty_clusters(
@@ -274,70 +339,102 @@ def _update_centers(
     labels: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """Weighted per-coordinate mean of every cluster, in one pass.
+    """Weighted per-coordinate mean of every cluster, in one pass: (k, 2) for
+    one partition given as (n,) labels, (R, k, 2) for R of them as (R, n).
 
     `weighted` is weights[:, None] * coords. A longitude more than pi from
     its cluster's lowest-index member moves by 2 pi toward it, and each mean
     longitude is folded into (-pi, pi]; other rows keep their bits. The
-    results are bitwise those of summing each cluster's own slice: bincount
-    adds a cluster's weighted coordinates in ascending point order, as a sum
-    over axis 0 does, and the weight totals keep numpy's pairwise sum over
-    each cluster's contiguous run of the stably sorted weights.
+    results are bitwise those of summing each cluster's own slice: cluster j
+    of run r is bin r * k + j of one bincount, which adds its weighted
+    coordinates in ascending point order, as a sum over axis 0 does, and the
+    weight totals keep numpy's pairwise sum over each cluster's contiguous
+    run of the stably sorted weights.
     """
-    counts = np.bincount(labels, minlength=k)
+    n = coords.shape[0]
+    runs = labels.size // n
+    bins = (labels.reshape(runs, n) + k * np.arange(runs)[:, None]).ravel()
+    counts = np.bincount(bins, minlength=runs * k)
     if not counts.all():
-        raise EmptyClusterError(f"cluster {int(counts.argmin())} lost all members")
-    order = np.argsort(labels, kind="stable")
+        raise EmptyClusterError(f"cluster {int(counts.argmin()) % k} lost all members")
+    # The smallest unsigned type that holds every bin lets numpy radix-sort.
+    order = np.argsort(bins.astype(np.min_scalar_type(runs * k - 1)), kind="stable") % n
     stops = np.cumsum(counts)
     starts = stops - counts
     sorted_weights = weights[order]
     totals = np.array(
         [np.add.reduce(sorted_weights[a:b]) for a, b in zip(starts.tolist(), stops.tolist())]
     )
-    offset = coords[:, 1] - coords[order[starts], 1][labels]
-    unwrapped = coords[:, 1] - np.copysign(2.0 * np.pi, offset)
+    lon = coords[:, 1]
+    offset = lon - lon[order[starts]][bins].reshape(runs, n)
+    unwrapped = lon - np.copysign(2.0 * np.pi, offset)
     weighted_lon = np.where(np.abs(offset) > np.pi, weights * unwrapped, weighted[:, 1])
-    sums = np.column_stack(
-        [np.bincount(labels, weights=col, minlength=k) for col in (weighted[:, 0], weighted_lon)]
-    )
+    sums = np.column_stack([
+        np.bincount(bins, weights=np.tile(weighted[:, 0], runs), minlength=runs * k),
+        np.bincount(bins, weights=weighted_lon.ravel(), minlength=runs * k),
+    ])
     centers = sums / totals[:, None]
     lon = centers[:, 1]
     lon[lon > np.pi] -= 2.0 * np.pi
     lon[lon <= -np.pi] += 2.0 * np.pi
-    return centers
+    return centers.reshape(labels.shape[:-1] + (k, 2))
 
 
-def _kmeans_core(
+def _kmeans_batch(
     matrix: np.ndarray,
     coords: np.ndarray,
     weights: np.ndarray,
     k: int,
     metric: DistanceMetric,
-    seed: int,
+    seeds: "list[int]",
     max_iterations: int,
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """One seeded run; `matrix` is `_distance_matrix(coords, metric)`."""
-    centers = coords[_kmeanspp_core(matrix, k, SplitMix64(seed))]
+) -> "list[tuple[np.ndarray, np.ndarray, int, bool]]":
+    """(centers, labels, iterations, converged) of one seeded run per seed, in
+    seed order; `matrix` is `_distance_matrix(coords, metric)`.
+
+    Runs go through seeding, assignment and center update together, in
+    batches of at most _BATCH_ELEMENTS // (n * k) runs. A run leaves its batch
+    when its labels stop changing, and a run that empties a cluster is
+    repaired on its own, so each result is bitwise what the run gives alone.
+    """
+    n = coords.shape[0]
+    size = max(1, _BATCH_ELEMENTS // (n * k))
+    assign = metric.assigner(coords, min(size, len(seeds)), k)
     weighted = weights[:, None] * coords
-    labels: np.ndarray | None = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        new_labels = metric.assign(coords, centers)
-        # Any repair (center relocation or pinned label) makes this pass
-        # incomparable with the previous one, so it cannot declare convergence.
-        repaired = int(np.bincount(new_labels, minlength=k).min()) == 0
-        if repaired:
-            dist = metric.pairwise(coords, centers)
-            _repair_empty_clusters(matrix, coords, centers, dist, new_labels)
-        if labels is not None and not repaired and np.array_equal(new_labels, labels):
-            converged = True
+    results: "list[tuple[np.ndarray, np.ndarray, int, bool]]" = []
+    for start in range(0, len(seeds), size):
+        batch = seeds[start : start + size]
+        done: list = [None] * len(batch)
+        live = np.arange(len(batch))  # batch positions of the runs still iterating
+        centers = coords[_kmeanspp_batch(matrix, k, [SplitMix64(seed) for seed in batch])]
+        labels: np.ndarray | None = None
+        for iteration in range(1, max_iterations + 1):
+            new_labels = assign(centers)
+            bins = new_labels + k * np.arange(live.size)[:, None]
+            counts = np.bincount(bins.ravel(), minlength=live.size * k).reshape(-1, k)
+            # Any repair (center relocation or pinned label) makes this pass
+            # incomparable with the previous one, so it cannot declare convergence.
+            repaired = (counts == 0).any(axis=1)
+            for run in np.flatnonzero(repaired):
+                dist = metric.pairwise(coords, centers[run])
+                _repair_empty_clusters(matrix, coords, centers[run], dist, new_labels[run])
+            if labels is not None:
+                converged = ~repaired & (new_labels == labels).all(axis=1)
+                for run in np.flatnonzero(converged):
+                    done[live[run]] = (
+                        centers[run].copy(), new_labels[run].copy(), iteration, True
+                    )
+                live, centers = live[~converged], centers[~converged]
+                new_labels = new_labels[~converged]
+                if live.size == 0:
+                    break
             labels = new_labels
-            break
-        labels = new_labels
-        centers = _update_centers(coords, weights, weighted, labels, k)
-    assert labels is not None
-    return centers, labels, iterations, converged
+            centers = _update_centers(coords, weights, weighted, labels, k)
+        assert labels is not None
+        for run, position in enumerate(live.tolist()):
+            done[position] = (centers[run].copy(), labels[run].copy(), max_iterations, False)
+        results += done
+    return results
 
 
 def kmeans(
@@ -357,6 +454,7 @@ def kmeans(
     max_iterations with converged=False. Builds the full pairwise distance
     matrix for seeding and repair, 8 * n^2 bytes (18 MB at n = 1500).
     """
+    _validate_coords(coords)
     metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
     if n == 0:
@@ -369,8 +467,8 @@ def kmeans(
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     w = np.asarray(weights, dtype=np.float64)
     _validate_weights(w)
-    centers, labels, iterations, converged = _kmeans_core(
-        _distance_matrix(coords, metric), coords, w, k, metric, seed, max_iterations
+    ((centers, labels, iterations, converged),) = _kmeans_batch(
+        _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )
     return ClusteringResult(
         centers=centers,

@@ -17,6 +17,13 @@ at n = 10 000. With workers > 1 each pool worker builds its own copy in the
 pool initializer and the parent builds none, so the figure holds per
 worker. The matrix is filled in row blocks, so building it takes only
 O(block * n) scratch beyond the matrix itself.
+
+A k's restarts run as batches through one `_kmeans_batch` call. A batch's
+largest scratch array, its (runs, k, n) float64 dot products, is capped at
+`_BATCH_ELEMENTS` = 2**18 values (2 MB) per process whatever runs_per_k is,
+or one run's n * k values when that is larger. Beside it each process keeps every
+run's labels and centers until the k is scored: 8 * runs_per_k * (n + 2k)
+bytes, 1.6 MB at runs_per_k = 100 and n = 2000.
 """
 
 from __future__ import annotations
@@ -34,7 +41,8 @@ from .clustering import (
     DistanceMetric,
     HaversineMetric,
     _distance_matrix,
-    _kmeans_core,
+    _kmeans_batch,
+    _validate_coords,
     _validate_weights,
     DEFAULT_MAX_ITERATIONS,
 )
@@ -106,6 +114,7 @@ def dunn_index(
     undefined; that raises DegenerateClusteringError rather than returning
     infinity, because such a partition carries no separation information.
     """
+    _validate_coords(coords)
     metric = metric if metric is not None else HaversineMetric()
     labels = np.asarray(labels)
     if labels.ndim != 1:
@@ -132,10 +141,11 @@ def _dunn_from_matrix(dist: np.ndarray, labels: np.ndarray) -> DunnScore | None:
     so the result does not depend on the order clusters are visited in.
     """
     order = np.argsort(labels, kind="stable")
-    boundaries = np.flatnonzero(np.diff(labels[order])) + 1
+    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
     max_intra_km = 0.0
     min_inter_km = math.inf
-    for members in np.split(order, boundaries):
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        members = order[a:b]
         rows = dist[members]
         max_intra_km = max(max_intra_km, float(rows[:, members].max()))
         rows[:, members] = np.inf
@@ -155,12 +165,10 @@ def _best_for_k(
     max_iterations: int,
     k: int,
 ) -> Optional[KBest]:
+    seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
+    runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
     best: Optional[KBest] = None
-    for run in range(runs_per_k):
-        seed = derive_seed(base_seed, k, run)
-        centers, labels, iterations, converged = _kmeans_core(
-            dist, coords, weights, k, metric, seed, max_iterations
-        )
+    for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
         score = _dunn_from_matrix(dist, labels)
         if score is None:
             continue
@@ -212,12 +220,15 @@ def sweep(
     are dropped; a k where every run degenerates maps to None; if that
     happens for all k the sweep raises SweepError.
     """
+    _validate_coords(coords)
     metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
     if len(weights) != n:
         raise ValidationError(f"{n} points but {len(weights)} weights")
     if runs_per_k < 1:
         raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     if k_range is None:
         ks: Sequence[int] = range(2, default_k_max(n) + 1)
     else:

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
+from sitepick import clustering
 from sitepick.clustering import (
+    DEFAULT_MAX_ITERATIONS,
     ClusteringResult,
     HaversineMetric,
     PlanarMetric,
     _distance_matrix,
+    _kmeans_batch,
     _kmeanspp_core,
     _objective_core,
     _repair_empty_clusters,
@@ -594,6 +597,36 @@ def test_kmeans_rejects_bad_input():
         kmeans(GROUPED, GROUPED_WEIGHTS, k=2, max_iterations=0)
 
 
+def _not_finite_n_by_2_floats(coords):
+    """Ways to pass an (n, 2) float64 radian array wrongly, with n rows kept."""
+    nan = coords.copy()
+    nan[1, 0] = math.nan
+    infinite = coords.copy()
+    infinite[0, 1] = math.inf
+    return [
+        pytest.param(coords.tolist(), id="list"),
+        pytest.param(coords[:, :1], id="one-column"),
+        pytest.param(np.column_stack([coords, coords[:, :1]]), id="three-columns"),
+        pytest.param(coords[:, 0].copy(), id="flat"),
+        pytest.param(np.zeros(coords.shape, dtype=np.int64), id="integers"),
+        pytest.param(nan, id="nan"),
+        pytest.param(infinite, id="infinite"),
+    ]
+
+
+@pytest.mark.parametrize("coords", _not_finite_n_by_2_floats(GROUPED))
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda coords: kmeans(coords, GROUPED_WEIGHTS, k=2), id="kmeans"),
+        pytest.param(lambda coords: weighted_center(coords, GROUPED_WEIGHTS), id="weighted_center"),
+    ],
+)
+def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, coords):
+    with pytest.raises(ValidationError, match="coords must be"):
+        call(coords)
+
+
 @settings(max_examples=40)
 @given(
     st.lists(
@@ -624,6 +657,97 @@ def test_kmeans_always_yields_full_partition(latlon, data):
     assert counts.min() >= 1
     assert 1 <= result.iterations <= 300
     assert result.objective >= 0.0
+
+
+# --- batches of runs ---
+
+
+def reference_run(matrix, coords, weights, k, metric, seed, max_iterations):
+    """One seeded k-means run as a plain loop over the reference seeding, the
+    metric's own argmin and the per-cluster centers above."""
+    centers = coords[reference_kmeanspp(coords, k, metric, SplitMix64(seed))]
+    labels = None
+    for iteration in range(1, max_iterations + 1):
+        dist = metric.pairwise(coords, centers)
+        new_labels = dist.argmin(axis=1)
+        repaired = np.bincount(new_labels, minlength=k).min() == 0
+        if repaired:
+            _repair_empty_clusters(matrix, coords, centers, dist, new_labels)
+        if labels is not None and not repaired and np.array_equal(new_labels, labels):
+            return centers, new_labels, iteration, True
+        labels = new_labels
+        centers = reference_centers(coords, weights, labels, k)
+    return centers, labels, max_iterations, False
+
+
+def same_run(a, b):
+    return (
+        a[0].tobytes() == b[0].tobytes()
+        and np.array_equal(a[1], b[1])
+        and a[2] == b[2]
+        and a[3] == b[3]
+    )
+
+
+@st.composite
+def _batch_cases(draw):
+    """Points jittered about a few blob centers, some across ±180° and some
+    jitter-free (exact duplicates, so seeding can fall back to a uniform draw
+    and assignment can empty a cluster), with a k, weights and run seeds."""
+    lon = st.one_of(st.sampled_from([179.95, -179.95, 180.0]), st.floats(-180.0, 180.0))
+    blobs = draw(st.lists(st.tuples(st.floats(-80.0, 80.0), lon), min_size=1, max_size=4))
+    spreads = draw(st.sampled_from([(0.0,), (0.0, 0.02, 0.5), (0.02, 0.5)]))
+    points = []
+    for _ in range(draw(st.integers(1, 24))):
+        lat, lon = blobs[draw(st.integers(0, len(blobs) - 1))]
+        spread = draw(st.sampled_from(spreads))
+        dlat, dlon = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+        points.append(from_degrees(lat + spread * dlat, lon + spread * dlon))
+    n = len(points)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    k = draw(st.integers(1, min(n, 8)))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7))
+    max_iterations = draw(st.sampled_from([1, 2, 3, DEFAULT_MAX_ITERATIONS]))
+    metric = draw(st.sampled_from([HaversineMetric(), PlanarMetric()]))
+    return coords_array(points), weights, k, metric, seeds, max_iterations
+
+
+@settings(max_examples=150)
+@given(_batch_cases(), st.data())
+def test_each_run_of_a_batch_is_the_run_alone(case, data):
+    coords, weights, k, metric, seeds, max_iterations = case
+    matrix = _distance_matrix(coords, metric)
+    args = (matrix, coords, weights, k, metric)
+    alone = [_kmeans_batch(*args, [seed], max_iterations)[0] for seed in seeds]
+    for seed, run in zip(seeds, alone):
+        assert same_run(run, reference_run(*args, seed, max_iterations))
+    whole = _kmeans_batch(*args, seeds, max_iterations)
+    per_batch = data.draw(st.integers(1, len(seeds)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_BATCH_ELEMENTS", per_batch * coords.shape[0] * k)
+        chunked = _kmeans_batch(*args, seeds, max_iterations)
+    for runs in (whole, chunked):
+        assert len(runs) == len(seeds)
+        assert all(same_run(got, want) for got, want in zip(runs, alone))
+
+
+def test_batch_scratch_does_not_grow_with_the_number_of_runs(monkeypatch):
+    coords = whole_sphere_coords(52, seed=12)
+    n, k = coords.shape[0], 4
+    asked = []
+    assigner = HaversineMetric.assigner
+
+    def recording(self, coords, runs, k):
+        asked.append(runs)
+        return assigner(self, coords, runs, k)
+
+    monkeypatch.setattr(HaversineMetric, "assigner", recording)
+    monkeypatch.setattr(clustering, "_BATCH_ELEMENTS", 3 * n * k + 1)
+    matrix = _distance_matrix(coords, HaversineMetric())
+    weights = np.ones(n)
+    for runs in (1, 2, 3, 10, 100):
+        _kmeans_batch(matrix, coords, weights, k, HaversineMetric(), list(range(runs)), 5)
+    assert asked == [1, 2, 3, 3, 3]
 
 
 # --- objective ---

@@ -398,6 +398,44 @@ def test_sweep_rejects_bad_arguments():
         sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)
 
 
+def test_sweep_rejects_max_iterations_below_one():
+    coords = coords_array(FOUR_PAIR_POINTS[:5])
+    with pytest.raises(ValidationError, match="max_iterations"):
+        sweep(coords, FOUR_PAIR_WEIGHTS[:5], k_range=[2], runs_per_k=1, max_iterations=0)
+
+
+def _not_finite_n_by_2_floats(coords):
+    """Ways to pass an (n, 2) float64 radian array wrongly, with n rows kept."""
+    nan = coords.copy()
+    nan[1, 0] = math.nan
+    infinite = coords.copy()
+    infinite[0, 1] = math.inf
+    return [
+        pytest.param(coords.tolist(), id="list"),
+        pytest.param(coords[:, :1], id="one-column"),
+        pytest.param(np.column_stack([coords, coords[:, :1]]), id="three-columns"),
+        pytest.param(coords[:, 0].copy(), id="flat"),
+        pytest.param(np.zeros(coords.shape, dtype=np.int64), id="integers"),
+        pytest.param(nan, id="nan"),
+        pytest.param(infinite, id="infinite"),
+    ]
+
+
+@pytest.mark.parametrize("coords", _not_finite_n_by_2_floats(coords_array(FOUR_PAIR_POINTS)))
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda coords: sweep(coords, FOUR_PAIR_WEIGHTS, runs_per_k=2), id="sweep"),
+        pytest.param(
+            lambda coords: dunn_index(coords, [0, 0, 1, 1, 2, 2, 3, 3]), id="dunn_index"
+        ),
+    ],
+)
+def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, coords):
+    with pytest.raises(ValidationError, match="coords must be"):
+        call(coords)
+
+
 # --- whole sphere ---
 
 # Four seeded blobs of 12 points near Singapore. Turning longitude by 180°
