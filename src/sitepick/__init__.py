@@ -47,7 +47,6 @@ from .model_selection import DunnScore, KBest, SweepResult, default_k_max, dunn_
 from .rng import SplitMix64, derive_seed, mix64
 from .sites import (
     DEFAULT_REGION_ORDER,
-    Representative,
     SiteRecord,
     assign_site_ids,
     select_representatives,

@@ -34,6 +34,7 @@ from .errors import (
     DegenerateClusteringError,
     EmptyClusterError,
     ParseError,
+    SitepickError,
     SweepError,
     ValidationError,
 )
@@ -45,6 +46,7 @@ from .io_pipeline import (
     RunManifest,
     SurveyResponse,
     build_weighted_points,
+    csv_field,
     export_dunn_curve,
     export_geojson,
     export_site_table,
@@ -216,15 +218,6 @@ def _write(directory: Path, files: "list[tuple[str, bytes]]") -> None:
         raise ConfigError(f"cannot write into {str(directory)!r}: {exc.strerror or exc}") from exc
 
 
-def _csv_field(text: str) -> str:
-    """text as csv's QUOTE_MINIMAL writer renders it with its default line
-    terminator: quoted, inner quotes doubled, when it holds a comma, a quote,
-    a CR or a LF; otherwise unchanged."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def cmd_weights(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     _, parsed = _parse_survey(config, _load_column_map(args.column_map))
@@ -241,8 +234,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
             factor = frequency_weight(response.visit_count_category)
             weights.append(reliability_weight(factor, response.avg_duration_min))
             lines.append(
-                f"{response.row},{_csv_field(response.participant_id)},{letter},"
-                f"{_csv_field(response.region)},"
+                f"{response.row},{csv_field(response.participant_id)},{letter},"
+                f"{csv_field(response.region)},"
                 f"{factor},{response.avg_duration_min:.6f},{weights[-1]:.12f}"
             )
         n = len(weights)
@@ -287,39 +280,42 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
         auc = reliability_auc(points.weights)
-        if fixed_k is not None:
-            k_range: Sequence[int] = [fixed_k]
-        else:
-            k_top = config.k_max if config.k_max is not None else default_k_max(n)
-            k_range = range(config.k_min, k_top + 1)
-        swept = sweep(
-            points.coords,
-            points.weights,
-            k_range=k_range,
-            runs_per_k=config.runs_per_k,
-            base_seed=config.base_seed,
-            metric=metric,
-            max_iterations=config.max_iterations,
-            workers=config.workers,
-        )
-        best = swept.best
+        try:
+            if fixed_k is not None:
+                k_range: Sequence[int] = [fixed_k]
+            else:
+                k_top = config.k_max if config.k_max is not None else default_k_max(n)
+                k_range = range(config.k_min, k_top + 1)
+            swept = sweep(
+                points.coords,
+                points.weights,
+                k_range=k_range,
+                runs_per_k=config.runs_per_k,
+                base_seed=config.base_seed,
+                metric=metric,
+                max_iterations=config.max_iterations,
+                workers=config.workers,
+            )
+            best = swept.best
+            reps = select_representatives(points.coords, best.labels, best.centers, metric)
+            sites = assign_site_ids(
+                reps, quadrant, points.responses, region_order=config.region_order
+            )
+            artifacts += [
+                (f"clusters_{letter}.geojson", export_geojson(points, best, sites)),
+                (f"sites_{letter}.csv", export_site_table(sites)),
+                (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
+            ]
+        except SitepickError as exc:
+            raise type(exc)(f"{exc} (quadrant {letter})") from exc
         if not best.converged:
-            print(f"warning: quadrant {letter}: best run at k={best.k} stopped at "
+            print(f"warning: quadrant {letter}: best run at k={swept.optimal_k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
-        representatives = select_representatives(points.coords, best.labels, best.centers, metric)
-        sites = assign_site_ids(
-            representatives, quadrant, points.responses, region_order=config.region_order
-        )
-        artifacts += [
-            (f"clusters_{letter}.geojson", export_geojson(points, best, sites)),
-            (f"sites_{letter}.csv", export_site_table(sites)),
-            (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
-        ]
         manifest.quadrants[letter] = QuadrantSummary(
             label=quadrant.label,
             n_points=n,
             auc=auc,
-            k_max=max(swept.k_range),
+            k_max=max(swept.per_k),
             optimal_k=swept.optimal_k,
             best_dunn=best.dunn.value,
             min_inter_km=best.dunn.min_inter_km,

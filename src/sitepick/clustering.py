@@ -208,7 +208,6 @@ class ClusteringResult:
     labels: np.ndarray
     iterations: int
     converged: bool
-    seed: int
     objective: float
 
 
@@ -220,9 +219,16 @@ def _validate_coords(coords: np.ndarray) -> None:
         raise ValidationError("coords must be finite")
 
 
-def _validate_weights(weights: np.ndarray) -> None:
-    if np.any(~np.isfinite(weights)) or np.any(weights <= 0.0):
+def _checked_weights(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
+    """`weights` as float64 once coords pass `_validate_coords` and there is
+    one finite, positive weight per point."""
+    _validate_coords(coords)
+    if len(weights) != len(coords):
+        raise ValidationError(f"{len(coords)} points but {len(weights)} weights")
+    w = np.asarray(weights, dtype=np.float64)
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
         raise ValidationError("weights must be finite and positive")
+    return w
 
 
 def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
@@ -232,13 +238,9 @@ def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> 
     With equal weights this is the ordinary coordinate mean. Raises
     EmptyClusterError for an empty cluster so the caller can repair it.
     """
-    _validate_coords(coords)
+    w = _checked_weights(coords, weights)
     if len(coords) == 0:
         raise EmptyClusterError("cannot take the center of an empty cluster")
-    if len(coords) != len(weights):
-        raise ValidationError(f"{len(coords)} points but {len(weights)} weights")
-    w = np.asarray(weights, dtype=np.float64)
-    _validate_weights(w)
     labels = np.zeros(len(coords), dtype=np.int64)
     return _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
 
@@ -454,19 +456,13 @@ def kmeans(
     max_iterations with converged=False. Builds the full pairwise distance
     matrix for seeding and repair, 8 * n^2 bytes (18 MB at n = 1500).
     """
-    _validate_coords(coords)
+    w = _checked_weights(coords, weights)
     metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
-    if n == 0:
-        raise ValidationError("cannot cluster zero points")
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    if len(weights) != n:
-        raise ValidationError(f"{n} points but {len(weights)} weights")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
-    w = np.asarray(weights, dtype=np.float64)
-    _validate_weights(w)
     ((centers, labels, iterations, converged),) = _kmeans_batch(
         _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )
@@ -475,7 +471,6 @@ def kmeans(
         labels=labels,
         iterations=iterations,
         converged=converged,
-        seed=seed,
         objective=_objective_core(coords, w, centers, labels, metric),
     )
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -335,6 +334,22 @@ def sha256_digest(data: bytes) -> str:
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted, inner quotes doubled, when it holds a
+    comma, a quote, a CR or a LF; otherwise unchanged."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def render_csv(rows: Iterable[Sequence[str]]) -> bytes:
+    """UTF-8 CSV of rows of text, fields quoted by `csv_field`, lines ending in
+    "\n": csv.writer(lineterminator="\n")'s bytes for text without a CR,
+    which that writer leaves unquoted. A lone empty field is written as ""."""
+    lines = [",".join(map(csv_field, row)) or '""' * len(row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 def _fixed(value: float, places: int = 12) -> str:
     return f"{value:.{places}f}"
 
@@ -362,8 +377,8 @@ def export_geojson(points: QuadrantPoints, best: KBest, sites: "tuple[SiteRecord
     labels = best.labels
     if len(points.responses) != labels.size:
         raise ValidationError(f"{len(points.responses)} points but {labels.size} labels")
-    if len(sites) != best.k:
-        raise ValidationError(f"{len(sites)} site records for k={best.k}")
+    if len(sites) != len(best.centers):
+        raise ValidationError(f"{len(sites)} site records for k={len(best.centers)}")
     features: list[str] = []
     for index, (response, weight) in enumerate(zip(points.responses, points.weights.tolist())):
         features.append(
@@ -390,14 +405,14 @@ def export_geojson(points: QuadrantPoints, best: KBest, sites: "tuple[SiteRecord
     for record in sites:
         features.append(
             _feature(
-                record.lon_deg,
-                record.lat_deg,
+                record.source.lon_deg,
+                record.source.lat_deg,
                 [
                     ("role", json.dumps("site")),
                     ("cluster", str(record.cluster)),
                     ("site_id", json.dumps(record.site_id)),
                     ("region", json.dumps(record.region)),
-                    ("source_row", str(record.source_row)),
+                    ("source_row", str(record.source.row)),
                 ],
             )
         )
@@ -411,46 +426,39 @@ def export_geojson(points: QuadrantPoints, best: KBest, sites: "tuple[SiteRecord
 
 def export_site_table(sites: "tuple[SiteRecord, ...]") -> bytes:
     """Site CSV with degree coordinates printed to 9 decimal places."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["ID", "Region", "Latitude_deg", "Longitude_deg", "SourceRow"])
+    rows = [["ID", "Region", "Latitude_deg", "Longitude_deg", "SourceRow"]]
     for record in sites:
-        writer.writerow(
+        rows.append(
             [
                 record.site_id,
                 record.region,
-                _fixed(record.lat_deg, 9),
-                _fixed(record.lon_deg, 9),
-                record.source_row,
+                _fixed(record.source.lat_deg, 9),
+                _fixed(record.source.lon_deg, 9),
+                str(record.source.row),
             ]
         )
-    return buffer.getvalue().encode("utf-8")
+    return render_csv(rows)
 
 
 def export_dunn_curve(result: SweepResult) -> bytes:
     """Per-k sweep curve CSV; a k whose runs all degenerated leaves its
     score cells empty."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["k", "best_run", "best_seed", "dunn_index", "min_inter_km", "max_intra_km"]
-    )
-    for k in result.k_range:
-        best = result.per_k[k]
+    rows = [["k", "best_run", "best_seed", "dunn_index", "min_inter_km", "max_intra_km"]]
+    for k, best in result.per_k.items():
         if best is None:
-            writer.writerow([k, "", "", "", "", ""])
+            rows.append([str(k), "", "", "", "", ""])
         else:
-            writer.writerow(
+            rows.append(
                 [
-                    k,
-                    best.run_index,
-                    best.seed,
+                    str(k),
+                    str(best.run_index),
+                    str(best.seed),
                     _fixed(best.dunn.value),
                     _fixed(best.dunn.min_inter_km),
                     _fixed(best.dunn.max_intra_km),
                 ]
             )
-    return buffer.getvalue().encode("utf-8")
+    return render_csv(rows)
 
 
 @dataclass(frozen=True)

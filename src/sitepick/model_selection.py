@@ -5,9 +5,10 @@ cluster diameter; higher is better).
 For every candidate k the sweep reruns k-means from many seeded starts and
 keeps the run with the highest Dunn index, then picks the k whose best run
 scores highest overall. Each k's winner is one KBest, built where the run
-was scored. Seeds for each (k, run) cell are derived independently from the
-base seed, so results do not depend on execution order and the sweep can
-fan out across processes.
+was scored, and SweepResult.per_k holds them keyed by the candidate ks.
+Seeds for each (k, run) cell are derived independently from the base seed,
+so results do not depend on execution order and the sweep can fan out
+across processes: at most one per k and per CPU this process may run on.
 
 Memory model: every (k, run) cell reads the same pairwise distance matrix
 (for k-means++ seeding, empty-cluster repair and Dunn scoring), so it is
@@ -40,10 +41,10 @@ import numpy as np
 from .clustering import (
     DistanceMetric,
     HaversineMetric,
+    _checked_weights,
     _distance_matrix,
     _kmeans_batch,
     _validate_coords,
-    _validate_weights,
     DEFAULT_MAX_ITERATIONS,
 )
 from .errors import DegenerateClusteringError, SweepError, ValidationError
@@ -67,7 +68,6 @@ class KBest:
     centers, per-point labels in [0, k), and Dunn score. Pool workers return
     it as built."""
 
-    k: int
     run_index: int
     seed: int
     centers: np.ndarray
@@ -79,12 +79,11 @@ class KBest:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Outcome of a full k sweep. per_k maps each candidate k to its best run,
-    or to None when every run at that k was degenerate."""
+    """Outcome of a full k sweep. per_k maps each candidate k, ascending, to its
+    best run, or to None when every run at that k was degenerate."""
 
     per_k: "dict[int, Optional[KBest]]"
     optimal_k: int
-    k_range: tuple[int, ...]
 
     @property
     def best(self) -> KBest:
@@ -173,7 +172,7 @@ def _best_for_k(
         if score is None:
             continue
         if best is None or score.value > best.dunn.value:
-            best = KBest(k, run, seed, centers, labels, iterations, converged, score)
+            best = KBest(run, seed, centers, labels, iterations, converged, score)
     return best
 
 
@@ -196,7 +195,7 @@ def _best_for_k_in_worker(*args) -> Optional[KBest]:
 
 def _pool_size(workers: int, cells: int, cpus: int) -> int:
     """Processes worth starting: no more than requested, than there are k
-    values to hand out, or than the machine has CPUs; at least one."""
+    values to hand out, or than there are CPUs; at least one."""
     return max(1, min(workers, cells, cpus))
 
 
@@ -220,11 +219,9 @@ def sweep(
     are dropped; a k where every run degenerates maps to None; if that
     happens for all k the sweep raises SweepError.
     """
-    _validate_coords(coords)
+    w = _checked_weights(coords, weights)
     metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
-    if len(weights) != n:
-        raise ValidationError(f"{n} points but {len(weights)} weights")
     if runs_per_k < 1:
         raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
     if max_iterations < 1:
@@ -237,11 +234,10 @@ def sweep(
         raise ValidationError("no candidate k values to sweep")
     if ks[0] < 2 or ks[-1] > n:
         raise ValidationError(f"candidate k values must lie in [2, {n}], got {list(ks)}")
-    w = np.asarray(weights, dtype=np.float64)
-    _validate_weights(w)
 
     args = (coords, w, runs_per_k, base_seed, metric, max_iterations)
-    size = _pool_size(workers, len(ks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = _pool_size(workers, len(ks), cpus or 1)
     if size > 1:
         # Workers build the matrix themselves: building it here and shipping
         # it would leave a copy and its freed temporaries in the parent.
@@ -253,18 +249,13 @@ def sweep(
         dist = _distance_matrix(coords, metric)
         bests = [_best_for_k(dist, *args, k) for k in ks]
 
-    optimal: Optional[KBest] = None
-    for best in bests:
-        if best is not None and (optimal is None or best.dunn.value > optimal.dunn.value):
-            optimal = best
-    if optimal is None:
+    per_k = dict(zip(ks, bests))
+    scored = [k for k, best in per_k.items() if best is not None]
+    if not scored:
         raise SweepError(
             "every run at every candidate k was degenerate (all clusters were "
             "coincident-point singletons); lower k relative to the number of "
             "distinct points"
         )
-    return SweepResult(
-        per_k=dict(zip(ks, bests)),
-        optimal_k=optimal.k,
-        k_range=tuple(ks),
-    )
+    # max keeps the first of equal scores, so ties go to the smallest k.
+    return SweepResult(per_k, max(scored, key=lambda k: per_k[k].dunn.value))

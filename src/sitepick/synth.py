@@ -10,14 +10,12 @@ yield the same bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
 from .geo import EARTH
-from .io_pipeline import REQUIRED_COLUMNS, Quadrant
+from .io_pipeline import REQUIRED_COLUMNS, Quadrant, render_csv
 from .rng import SplitMix64, derive_seed
 from .sites import DEFAULT_REGION_ORDER
 from .weighting import FrequencyCategory
@@ -108,9 +106,5 @@ def synthetic_rows(spec: SynthSpec) -> "list[dict[str, str]]":
 
 def synthetic_csv(spec: SynthSpec) -> bytes:
     """The survey CSV for a spec; byte-identical for identical specs."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(REQUIRED_COLUMNS)
-    for row in synthetic_rows(spec):
-        writer.writerow([row[column] for column in REQUIRED_COLUMNS])
-    return buffer.getvalue().encode("utf-8")
+    rows = [[row[column] for column in REQUIRED_COLUMNS] for row in synthetic_rows(spec)]
+    return render_csv([REQUIRED_COLUMNS, *rows])

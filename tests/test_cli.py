@@ -123,6 +123,25 @@ def test_weights_csv_quotes_fields_that_need_it(tmp_path):
 # --- cluster ---
 
 
+def test_sites_csv_reads_back_regions_that_need_quoting(tmp_path):
+    # csv.writer(lineterminator="\n") left a region holding a bare CR
+    # unquoted, so csv.reader read that site's row back as two rows.
+    regions = ["East\rSide", "two\nlines", "North, East", 'say "hi"']
+    # Two close points per region, regions a degree apart: four clusters.
+    rows = [
+        f'p{i}{j},A,"{region.replace(chr(34), 2 * chr(34))}",{1.3 + i + 0.001 * j},103.8,1 to 3,5'
+        for i, region in enumerate(regions)
+        for j in range(2)
+    ]
+    out = tmp_path / "out"
+    survey = write_survey(tmp_path, rows)
+    assert main(["cluster", str(survey), "-o", str(out), "--k", "4", "--runs-per-k", "1"]) == 0
+    with open(out / "sites_A.csv", encoding="utf-8", newline="") as handle:
+        records = list(csv.reader(handle))
+    assert [len(record) for record in records] == [5] * 5
+    assert sorted(record[1] for record in records[1:]) == sorted(regions)
+
+
 def test_cluster_fixed_k_artifacts(tmp_path):
     survey = write_survey(tmp_path, TWO_REGION_ROWS)
     out = tmp_path / "out"
@@ -195,6 +214,17 @@ def test_empty_cluster_error_exit_code(tmp_path, capsys, monkeypatch):
 # Quadrant A sweeps normally; quadrant B is five coincident points, so every
 # run there is degenerate and the sweep fails after A has finished.
 A_THEN_DEGENERATE_B = TWO_REGION_ROWS + [f"q{i},B,CBD,1.3,103.8,1 to 3,5" for i in range(5)]
+
+
+def test_quadrant_errors_name_the_quadrant(tmp_path, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS[:3])
+    assert main(["sweep", str(survey), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: need at least 4 points to sweep, got 3 (quadrant A)\n"
+    )
+    survey = write_survey(tmp_path, A_THEN_DEGENERATE_B)
+    assert main(["sweep", str(survey), "-o", str(tmp_path / "o"), "--runs-per-k", "3"]) == 4
+    assert capsys.readouterr().err.endswith(" (quadrant B)\n")
 
 
 def test_failed_quadrant_writes_no_output_dir(tmp_path, capsys):

@@ -28,6 +28,7 @@ from sitepick.io_pipeline import (
     export_site_table,
     parse_key_values,
     parse_responses,
+    render_csv,
     sha256_digest,
 )
 from sitepick.model_selection import sweep
@@ -424,6 +425,25 @@ def test_export_site_table_bytes():
         assert len(lat_text.split(".")[1]) == 9  # fixed 9 decimal places
         assert len(lon_text.split(".")[1]) == 9
         assert (float(lat_text), float(lon_text)) in surveyed
+
+
+# Text cells with what CSV quoting is about (comma, quote, CR, LF, an empty
+# field) drawn often, beside any other characters.
+_CSV_CELL = st.text(st.sampled_from(',"\r\n a') | st.characters(), max_size=6)
+_CSV_ROWS = st.lists(st.lists(_CSV_CELL, max_size=4), max_size=4)
+
+
+@given(_CSV_ROWS)
+def test_render_csv_reads_back_unchanged(rows):
+    text = render_csv(rows).decode("utf-8")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+
+
+@given(_CSV_ROWS.map(lambda rows: [[cell.replace("\r", "") for cell in row] for row in rows]))
+def test_render_csv_matches_csv_writer_on_text_without_cr(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    assert render_csv(rows) == buffer.getvalue().encode("utf-8")
 
 
 def test_export_site_table_empty_report():

@@ -7,6 +7,7 @@ the vectorized implementation under test.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sitepick.clustering import (
     _objective_core,
     kmeans,
 )
+import sitepick.model_selection
 from sitepick.errors import DegenerateClusteringError, SweepError, ValidationError
 from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
@@ -239,6 +241,49 @@ def test_pool_size_clamps_to_cells_and_cpus():
     assert _pool_size(0, 37, 8) == 1
 
 
+@pytest.mark.parametrize(
+    "affinity, cpu_count, pools",
+    [
+        pytest.param({0}, 2, [], id="pinned-to-one-cpu"),
+        pytest.param({0, 1}, 1, [2], id="two-cpus-allowed"),
+        pytest.param(None, 1, [], id="no-affinity-one-cpu"),
+        pytest.param(None, 4, [2], id="no-affinity-four-cpus"),
+    ],
+)
+def test_sweep_pool_fits_the_cpus_this_process_may_run_on(monkeypatch, affinity, cpu_count, pools):
+    # Like `taskset -c 0 sitepick sweep --workers 2`: the affinity set, not the
+    # machine's CPU count, bounds the pool; without one the count does.
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, function, items):
+            return map(function, items)
+
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sitepick.model_selection, "_WORKER_DIST", None)
+    coords = coords_array(FOUR_PAIR_POINTS)
+    result = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2, workers=2)
+    assert started == pools
+    serial = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2)
+    assert result.optimal_k == serial.optimal_k
+    assert np.array_equal(result.best.labels, serial.best.labels)
+
+
 # --- candidate range ---
 
 
@@ -361,7 +406,7 @@ def test_sweep_default_range_ends_at_isqrt():
     points = [from_degrees(0.1 * i, 0.07 * (i % 5)) for i in range(9)]
     result = sweep(coords_array(points), [1.0] * 9, runs_per_k=2)
     assert isinstance(result, SweepResult)
-    assert result.k_range == (2, 3)
+    assert tuple(result.per_k) == (2, 3)
 
 
 def test_sweep_all_coincident_raises():

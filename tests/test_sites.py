@@ -9,7 +9,6 @@ from sitepick.geo import GeoPoint, coords_array, from_degrees, haversine
 from sitepick.io_pipeline import Quadrant, SurveyResponse
 from sitepick.sites import (
     DEFAULT_REGION_ORDER,
-    Representative,
     SiteRecord,
     assign_site_ids,
     select_representatives,
@@ -41,17 +40,15 @@ def test_representatives_are_cluster_members():
     weights = [0.6, 0.9, 0.7, 1.0, 0.8]
     result = kmeans(coords_array(points), weights, k=2, seed=3)
     reps = select_representatives(coords_array(points), result.labels, result.centers)
-    assert len(reps) == 2
-    assert [rep.cluster for rep in reps] == [0, 1]
-    for rep in reps:
-        members = np.flatnonzero(result.labels == rep.cluster)
-        center = GeoPoint(*result.centers[rep.cluster])
-        assert rep.point_index in members
-        expected = haversine(points[rep.point_index], center)
-        assert rep.distance_km == pytest.approx(expected, abs=1e-12)
+    assert reps.shape == (2,) and reps.dtype == np.intp
+    for cluster, index in enumerate(reps.tolist()):
+        members = np.flatnonzero(result.labels == cluster)
+        center = GeoPoint(*result.centers[cluster])
+        assert index in members
+        distance_km = haversine(points[index], center)
         # Nearest means no other member of the cluster is closer.
         for other in members:
-            assert rep.distance_km <= haversine(points[other], center) + 1e-12
+            assert distance_km <= haversine(points[other], center) + 1e-12
 
 
 def test_singleton_cluster_represents_itself():
@@ -59,8 +56,7 @@ def test_singleton_cluster_represents_itself():
     labels = np.array([0, 1])
     centers = [points[0], points[1]]
     reps = select_representatives(coords_array(points), labels, coords_array(centers))
-    assert [rep.point_index for rep in reps] == [0, 1]
-    assert reps[0].distance_km == 0.0
+    assert reps.tolist() == [0, 1]
 
 
 def test_equidistant_members_tie_to_lowest_index():
@@ -68,7 +64,7 @@ def test_equidistant_members_tie_to_lowest_index():
     labels = np.array([0, 0])
     center = [from_degrees(0.0, 0.0)]
     reps = select_representatives(coords_array(points), labels, coords_array(center))
-    assert reps[0].point_index == 0
+    assert reps.tolist() == [0]
 
 
 def test_representative_is_a_real_point_not_the_midpoint():
@@ -77,9 +73,9 @@ def test_representative_is_a_real_point_not_the_midpoint():
     points = [from_degrees(1.30, 103.80), from_degrees(1.40, 103.90)]
     result = kmeans(coords_array(points), [0.5, 1.0], k=1, seed=0)
     reps = select_representatives(coords_array(points), result.labels, result.centers)
-    assert reps[0].point_index == 1  # heavier point pulls the center toward it
+    assert reps.tolist() == [1]  # heavier point pulls the center toward it
     gap = haversine(points[0], points[1])
-    assert 0.0 < reps[0].distance_km < gap
+    assert 0.0 < haversine(points[1], GeoPoint(*result.centers[0])) < gap
 
 
 def test_representatives_follow_cluster_relabeling():
@@ -95,8 +91,8 @@ def test_representatives_follow_cluster_relabeling():
     swapped = select_representatives(
         coords_array(points), 1 - labels, coords_array(centers[::-1])
     )
-    assert {r.point_index for r in forward} == {r.point_index for r in swapped}
-    assert forward[0].point_index == swapped[1].point_index
+    assert set(forward.tolist()) == set(swapped.tolist())
+    assert forward[0] == swapped[1]
 
 
 def test_select_representatives_rejects_bad_input():
@@ -121,7 +117,7 @@ def test_select_representatives_rejects_out_of_range_labels():
 
 
 def test_site_ids_sort_by_region_then_latitude():
-    reps = [Representative(cluster=i, point_index=i, distance_km=0.1) for i in range(4)]
+    reps = np.arange(4)
     sources = [
         source(1.35, 103.95, region="East"),
         source(1.40, 103.85, region="CBD"),
@@ -133,11 +129,11 @@ def test_site_ids_sort_by_region_then_latitude():
     assert [r.site_id for r in sites] == ["A01", "A02", "A03", "A04"]
     assert [r.cluster for r in sites] == [2, 1, 0, 3]
     assert [r.region for r in sites] == ["CBD", "CBD", "East", "West"]
-    assert sites[0].lat_deg == 1.20
+    assert sites[0].source.lat_deg == 1.20
 
 
 def test_unknown_regions_sort_after_known_ones():
-    reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(4)]
+    reps = np.arange(4)
     sources = [
         source(1.0, 103.0, region="Zetland"),
         source(1.1, 103.1, region="  "),
@@ -150,7 +146,7 @@ def test_unknown_regions_sort_after_known_ones():
 
 
 def test_custom_region_order():
-    reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(2)]
+    reps = np.arange(2)
     sources = [source(1.0, 103.0, region="East"), source(1.1, 103.1, region="West")]
     default = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
     flipped = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources, region_order=("West", "East"))
@@ -160,23 +156,20 @@ def test_custom_region_order():
 
 
 def test_ties_fall_back_to_point_index():
-    reps = [
-        Representative(cluster=0, point_index=3, distance_km=0.0),
-        Representative(cluster=1, point_index=1, distance_km=0.0),
-    ]
+    reps = np.array([3, 1])
     sources = [source(1.0, 103.0) for _ in range(4)]
     sites = assign_site_ids(reps, Quadrant.LIFELESS_BORING, sources)
     assert [r.cluster for r in sites] == [1, 0]
 
 
 def test_site_id_padding_grows_with_count():
-    reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(15)]
+    reps = np.arange(15)
     sources = [source(1.0 + 0.01 * i, 103.0) for i in range(15)]
     sites = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
     assert sites[0].site_id == "A01"
     assert sites[-1].site_id == "A15"
 
-    reps = [Representative(cluster=i, point_index=i, distance_km=0.0) for i in range(100)]
+    reps = np.arange(100)
     sources = [source(1.0 + 0.001 * i, 103.0) for i in range(100)]
     sites = assign_site_ids(reps, Quadrant.CHAOTIC_RESTLESS, sources)
     assert sites[0].site_id == "B001"
@@ -184,16 +177,17 @@ def test_site_id_padding_grows_with_count():
 
 
 def test_site_coordinates_are_verbatim():
-    reps = [Representative(cluster=0, point_index=0, distance_km=0.25)]
+    reps = np.array([0])
     sources = [source(1.291598203, 103.84653, region="CBD", row=17)]
     (record,) = assign_site_ids(reps, Quadrant.FULL_OF_LIFE_EXCITING, sources)
-    assert record.lat_deg == 1.291598203
-    assert record.lon_deg == 103.84653
-    assert record.source_row == 17
+    assert record.source is sources[0]
+    assert record.source.lat_deg == 1.291598203
+    assert record.source.lon_deg == 103.84653
+    assert record.source.row == 17
 
 
 def test_assign_site_ids_validates_input():
     sources = [source(1.0, 103.0)]
-    bad = [Representative(cluster=0, point_index=5, distance_km=0.0)]
+    bad = np.array([5])
     with pytest.raises(ValidationError):
         assign_site_ids(bad, Quadrant.FULL_OF_LIFE_EXCITING, sources)
