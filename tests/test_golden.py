@@ -3,7 +3,9 @@ and `cluster --k 3` artifacts of the serial survey.
 
 Two small fixed synthetic surveys are swept through the CLI, one serially
 and one with a two-process pool, and the sha256 of each artifact is compared
-with a pinned value. Any change to the numeric path (distance matrix, Dunn
+with a pinned value. A third, paper-scale survey (one quadrant of
+67 participants x 5 regions) is swept at the default k range and restarts,
+both serially and with a pool, against one set of digests. Any change to the numeric path (distance matrix, Dunn
 scoring, Lloyd iterations, export formatting) that moves a single output
 byte fails here. A deliberate change to the outputs must re-pin these
 digests and say why in CHANGES.md.
@@ -74,6 +76,19 @@ SERIAL_COMMANDS = {
 }
 
 
+# One quadrant of 335 points swept with the CLI defaults: k 2..18 and 100
+# restarts, which at k = 18 run as batches of 43, 43 and 14.
+PAPER_SCALE = (
+    SynthSpec(blobs=5, per_blob=67, quadrants=("A",), seed=16),
+    {
+        "clusters_A.geojson": "ed83661d71e6279ab76b992471757c4cb3d92ae673405fa2c88d8166427ec016",
+        "dunn_curve_A.csv": "ebcf5e0ac8c247d2a789083723df1d0dc04d807ee23fba98178789e3bf91b33f",
+        "manifest.json": "76a3c95bb73485ed86586aff848d7ed8a88622673190d0cdc79854ac9ef9a8b5",
+        "sites_A.csv": "3b87d4b6f891a9931ecb9eb2dd7256467af3b7fc2b669fde1dd0c4956b50e38b",
+    },
+)
+
+
 def digests(directory):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -99,4 +114,14 @@ def test_serial_command_artifact_digests(tmp_path, command):
     survey.write_bytes(synthetic_csv(spec))
     out = tmp_path / "out"
     assert main([argv[0], str(survey), "-o", str(out)] + argv[1:] + flags) == 0
+    assert digests(out) == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_paper_scale_sweep_digests(tmp_path, workers):
+    spec, expected = PAPER_SCALE
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(synthetic_csv(spec))
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--workers", workers]) == 0
     assert digests(out) == expected
