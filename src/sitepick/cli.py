@@ -110,11 +110,7 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
 
 
-def _parse_letters(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip().upper() for part in raw.split(",") if part.strip())
-
-
-def _parse_regions(raw: str) -> tuple[str, ...]:
+def _parse_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
@@ -126,8 +122,8 @@ _CONFIG_PARSERS = {
     "max_iterations": lambda k, v: int(v),
     "earth_radius_km": lambda k, v: float(v),
     "strict": _parse_bool,
-    "quadrants": lambda k, v: _parse_letters(v),
-    "region_order": lambda k, v: _parse_regions(v),
+    "quadrants": lambda k, v: tuple(part.upper() for part in _parse_list(v)),
+    "region_order": lambda k, v: _parse_list(v),
     "workers": lambda k, v: int(v),
 }
 
@@ -384,7 +380,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help=f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})")
     parser.add_argument("--earth-radius-km", type=float,
                         help="sphere radius for distances (default 6371)")
-    parser.add_argument("--region-order", type=_parse_regions,
+    parser.add_argument("--region-order", type=_parse_list,
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,
                         help="processes for the k sweep, at most one per k and per CPU; "

@@ -5,7 +5,7 @@ squared distance from the nearest chosen center) and updated as weighted
 per-coordinate means of (lat, lon) in radians, with each longitude first
 unwrapped to within pi of its cluster's lowest-index member so a cluster
 across the antimeridian is averaged there. Each point is assigned to
-its metric-nearest center (`DistanceMetric.assign`); the haversine metric
+its metric-nearest center (`DistanceMetric.assigner`); the haversine metric
 finds it from unit-vector dot products and recomputes true distances only
 for near-ties, with the same result. Weights enter only the centroid update
 and the reported objective. The whole computation is a pure function of its
@@ -66,26 +66,20 @@ def _unit_vectors(coords: np.ndarray) -> np.ndarray:
 
 
 class DistanceMetric(ABC):
-    """Symmetric, non-negative distance between points given as radians."""
+    """Symmetric, non-negative distance between points given as radians: the
+    `pairwise` matrix, and an `assigner` for nearest-center labels, which
+    defaults to the `pairwise` argmin; an override must give the same labels."""
 
     @abstractmethod
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Distance matrix of shape (len(a), len(b)) for (n, 2) coordinate arrays."""
 
-    @abstractmethod
-    def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row-aligned distances for two (n, 2) coordinate arrays."""
-
-    def assign(self, coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Index of each point's nearest center, ties to the lowest index."""
-        return self.assigner(coords, 1, len(centers))(centers[None])[0]
-
     def assigner(
         self, coords: np.ndarray, runs: int, k: int
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """`assign` for a batch: a function from an (R, k, 2) array of R <= runs
-        center sets to the (R, n) labels of `coords` under each set. Scratch
-        the batch needs is allocated here, once."""
+        """A function from an (R, k, 2) array of R <= runs center sets to the
+        (R, n) nearest-center labels of `coords`, ties to the lowest index.
+        Scratch the batch needs is allocated here, once."""
         return lambda centers: np.stack([self.pairwise(coords, c).argmin(axis=1) for c in centers])
 
 
@@ -100,9 +94,6 @@ class HaversineMetric(DistanceMetric):
             a[:, 0][:, None], a[:, 1][:, None], b[:, 0][None, :], b[:, 1][None, :],
             radius_km=self.earth.radius_km,
         )
-
-    def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return haversine_km(a[:, 0], a[:, 1], b[:, 0], b[:, 1], radius_km=self.earth.radius_km)
 
     def assigner(
         self, coords: np.ndarray, runs: int, k: int
@@ -181,10 +172,6 @@ class PlanarMetric(DistanceMetric):
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
-
-    def between(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a - b
-        return np.sqrt((diff * diff).sum(axis=1))
 
 
 def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
@@ -399,6 +386,8 @@ def _kmeans_batch(
     when its labels stop changing, and a run that empties a cluster is
     repaired on its own, so each result is bitwise what the run gives alone.
     """
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     n = coords.shape[0]
     size = max(1, _BATCH_ELEMENTS // (n * k))
     assign = metric.assigner(coords, min(size, len(seeds)), k)
@@ -443,7 +432,7 @@ def kmeans(
     coords: np.ndarray,
     weights: "list[float] | np.ndarray",
     k: int,
-    metric: DistanceMetric | None = None,
+    metric: DistanceMetric = HaversineMetric(),
     seed: int = 0,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> ClusteringResult:
@@ -457,12 +446,9 @@ def kmeans(
     matrix for seeding and repair, 8 * n^2 bytes (18 MB at n = 1500).
     """
     w = _checked_weights(coords, weights)
-    metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     ((centers, labels, iterations, converged),) = _kmeans_batch(
         _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )
@@ -482,6 +468,6 @@ def _objective_core(
     labels: np.ndarray,
     metric: DistanceMetric,
 ) -> float:
-    d = metric.between(coords, centers[labels])
+    d = metric.pairwise(coords, centers)[np.arange(len(coords)), labels]
     return float((weights * d * d).sum())
 

@@ -108,10 +108,6 @@ class ParseResult:
     def accepted(self) -> int:
         return len(self.responses)
 
-    @property
-    def skipped(self) -> int:
-        return self.total_rows - self.accepted
-
 
 def parse_key_values(text: str) -> "dict[str, str]":
     """Parse "key = value" lines; blank lines and #-comments are ignored."""
@@ -495,6 +491,5 @@ class RunManifest:
 
     def to_json(self) -> bytes:
         payload = asdict(self)
-        payload["region_order"] = list(self.region_order)
         text = json.dumps(payload, indent=2, sort_keys=True)
         return (text + "\n").encode("utf-8")

@@ -103,7 +103,7 @@ def default_k_max(n: int) -> int:
 def dunn_index(
     coords: np.ndarray,
     labels: np.ndarray,
-    metric: DistanceMetric | None = None,
+    metric: DistanceMetric = HaversineMetric(),
 ) -> DunnScore:
     """Minimum pointwise inter-cluster distance over maximum cluster diameter
     of an (n, 2) [lat, lon] radian array partitioned by one label per point.
@@ -114,7 +114,6 @@ def dunn_index(
     infinity, because such a partition carries no separation information.
     """
     _validate_coords(coords)
-    metric = metric if metric is not None else HaversineMetric()
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValidationError("labels must be a flat sequence")
@@ -205,7 +204,7 @@ def sweep(
     k_range: Iterable[int] | None = None,
     runs_per_k: int = DEFAULT_RUNS_PER_K,
     base_seed: int = 0,
-    metric: DistanceMetric | None = None,
+    metric: DistanceMetric = HaversineMetric(),
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     workers: int = 1,
 ) -> SweepResult:
@@ -220,12 +219,9 @@ def sweep(
     happens for all k the sweep raises SweepError.
     """
     w = _checked_weights(coords, weights)
-    metric = metric if metric is not None else HaversineMetric()
     n = len(coords)
     if runs_per_k < 1:
         raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     if k_range is None:
         ks: Sequence[int] = range(2, default_k_max(n) + 1)
     else:

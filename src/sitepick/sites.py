@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .clustering import DistanceMetric, HaversineMetric
+from .clustering import DistanceMetric, HaversineMetric, _validate_coords
 from .errors import EmptyClusterError, ValidationError
 
 if TYPE_CHECKING:
@@ -44,7 +44,7 @@ def select_representatives(
     coords: np.ndarray,
     labels: np.ndarray,
     centers: np.ndarray,
-    metric: DistanceMetric | None = None,
+    metric: DistanceMetric = HaversineMetric(),
 ) -> np.ndarray:
     """Index of every cluster's member nearest its center, as a (k,) intp
     array whose entry j is cluster j's representative.
@@ -53,7 +53,11 @@ def select_representatives(
     `labels` gives each point's cluster in [0, k). Ties go to the lowest
     point index.
     """
-    metric = metric if metric is not None else HaversineMetric()
+    _validate_coords(coords)
+    _validate_coords(centers)
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError("labels must be a flat sequence")
     k = len(centers)
     if labels.size != len(coords):
         raise ValidationError(f"{len(coords)} points but {labels.size} labels")

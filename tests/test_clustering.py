@@ -85,14 +85,12 @@ def test_haversine_metric_matches_scalar():
         for j in range(4):
             expected = haversine(GROUPED_POINTS[i], GROUPED_POINTS[2 + j])
             assert grid[i, j] == pytest.approx(expected, abs=1e-9)
-    rows = metric.between(a, b)
-    assert rows == pytest.approx([grid[i, i] for i in range(4)], abs=1e-12)
 
 
 def test_haversine_metric_scales_with_radius():
     small = HaversineMetric(earth=EarthModel(radius_km=1.0))
     p, q = GROUPED_POINTS[0], GROUPED_POINTS[3]
-    distance = small.between(coords_array([p]), coords_array([q]))[0]
+    distance = small.pairwise(coords_array([p]), coords_array([q]))[0, 0]
     assert distance * 6371.0 == pytest.approx(haversine(p, q), rel=1e-12)
 
 
@@ -102,18 +100,21 @@ def test_planar_metric_matches_cdist():
     b = rng.uniform(-1.0, 1.0, size=(5, 2))
     metric = PlanarMetric()
     np.testing.assert_allclose(metric.pairwise(a, b), cdist(a, b), atol=1e-12)
-    np.testing.assert_allclose(
-        metric.between(a[:5], b), np.diag(cdist(a[:5], b)), atol=1e-12
-    )
 
 
 def test_metric_scalar_wrapper():
     p, q = GROUPED_POINTS[0], GROUPED_POINTS[5]
-    distance = HaversineMetric().between(coords_array([p]), coords_array([q]))[0]
+    distance = HaversineMetric().pairwise(coords_array([p]), coords_array([q]))[0, 0]
     assert distance == pytest.approx(haversine(p, q), abs=1e-12)
 
 
 # --- nearest-center assignment ---
+
+
+def nearest(metric, points, centers):
+    """Each point's nearest center under one center set, through `assigner`."""
+    return metric.assigner(points, 1, len(centers))(centers[None])[0]
+
 
 _sphere_point = st.tuples(st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
                           st.floats(min_value=-math.pi, max_value=math.pi))
@@ -161,11 +162,11 @@ def test_haversine_assign_is_the_pairwise_argmin(case):
     points, centers = case
     metric = HaversineMetric()
     want = metric.pairwise(points, centers).argmin(axis=1)
-    assert np.array_equal(metric.assign(points, centers), want)
+    assert np.array_equal(nearest(metric, points, centers), want)
 
 
 def _assign_recording_fallback(monkeypatch, points, centers):
-    """HaversineMetric().assign(points, centers) and the rows it recomputed."""
+    """Nearest centers under HaversineMetric() and the rows it recomputed."""
     recomputed = []
     pairwise = HaversineMetric.pairwise
 
@@ -175,7 +176,7 @@ def _assign_recording_fallback(monkeypatch, points, centers):
 
     with monkeypatch.context() as patch:
         patch.setattr(HaversineMetric, "pairwise", recording)
-        labels = HaversineMetric().assign(points, centers)
+        labels = nearest(HaversineMetric(), points, centers)
     assert len(recomputed) <= 1
     return labels, recomputed[0] if recomputed else points[:0]
 
@@ -211,7 +212,7 @@ def test_planar_assign_is_the_plain_argmin():
     centers = np.vstack([points[:6], points[2:4], rng.uniform(-1.0, 1.0, size=(3, 2))])
     metric = PlanarMetric()
     want = metric.pairwise(points, centers).argmin(axis=1)
-    assert np.array_equal(metric.assign(points, centers), want)
+    assert np.array_equal(nearest(metric, points, centers), want)
 
 
 # --- weighted centers ---

@@ -443,10 +443,14 @@ def test_sweep_rejects_bad_arguments():
         sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)
 
 
-def test_sweep_rejects_max_iterations_below_one():
-    coords = coords_array(FOUR_PAIR_POINTS[:5])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rejects_max_iterations_below_one(monkeypatch, workers):
+    # The check runs in `_kmeans_batch`, so with two workers it fires inside
+    # the pool, which two allowed CPUs let the sweep start.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    coords = coords_array(FOUR_PAIR_POINTS)
     with pytest.raises(ValidationError, match="max_iterations"):
-        sweep(coords, FOUR_PAIR_WEIGHTS[:5], k_range=[2], runs_per_k=1, max_iterations=0)
+        sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], max_iterations=0, workers=workers)
 
 
 def _not_finite_n_by_2_floats(coords):

@@ -53,10 +53,10 @@ def test_representatives_are_cluster_members():
 
 def test_singleton_cluster_represents_itself():
     points = [from_degrees(1.30, 103.80), from_degrees(2.20, 103.80)]
-    labels = np.array([0, 1])
     centers = [points[0], points[1]]
-    reps = select_representatives(coords_array(points), labels, coords_array(centers))
-    assert reps.tolist() == [0, 1]
+    for labels in (np.array([0, 1]), [0, 1]):  # labels as an array or a list
+        reps = select_representatives(coords_array(points), labels, coords_array(centers))
+        assert reps.tolist() == [0, 1]
 
 
 def test_equidistant_members_tie_to_lowest_index():
@@ -106,6 +106,16 @@ def test_select_representatives_rejects_bad_input():
     # Too few centers: a label names a cluster that has no center.
     with pytest.raises(ValidationError):
         select_representatives(coords_array(points), np.array([0, 1]), coords_array(centers[:1]))
+    nan = coords_array(points)
+    nan[1, 0] = np.nan
+    with pytest.raises(ValidationError):
+        select_representatives(nan, np.array([0, 1]), coords_array(centers))
+    with pytest.raises(ValidationError):
+        select_representatives(coords_array(points), np.array([0, 1]), nan)
+    with pytest.raises(ValidationError):
+        select_representatives(coords_array(points), np.array([[0, 1]]), coords_array(centers))
+    with pytest.raises(ValidationError):
+        select_representatives(coords_array(points), np.array([0, 0]), coords_array(centers)[0])
 
 
 def test_select_representatives_rejects_out_of_range_labels():
