@@ -8,11 +8,12 @@ BENCH_*.json entry.
 Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds 40
 --trace 0`` once from the root of each checkout, the parent first in odd
 pairs and the change first in even ones. The last line a run prints must be
-perfbench's JSON result; if one is not, the script stops with exit 1 and
-writes nothing. The output keeps every run's values and, per side, the
-quartiles of each end-to-end metric that BENCHMARK.json declares. An
-existing output file keeps its other workloads, so one file can collect
-all of them. Standard library only.
+perfbench's JSON result, with ``correct`` true and no failed operation; if
+one is not, the script stops with exit 1 and writes nothing. The output
+keeps every run's values and, per side, the quartiles of each end-to-end
+metric that BENCHMARK.json declares. An existing output file keeps its
+other workloads, so one file can collect all of them. Standard library
+only.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ def _no_constant(name: str) -> None:
 
 
 def run_once(checkout: Path, workload: str, seed: int, pair: int) -> dict:
-    """One perfbench run from checkout; exits 1 unless its last line is a result."""
+    """One perfbench run from checkout; exits 1 unless its last line is a
+    result of a correct run with no failed operation."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(SECONDS), "--trace", "0"]
     where = f"{checkout} pair {pair}"
@@ -72,6 +74,9 @@ def run_once(checkout: Path, workload: str, seed: int, pair: int) -> dict:
         result = None
     if not isinstance(result, dict) or not isinstance(result.get("metrics"), dict):
         sys.exit(f"error: {where}: last stdout line is not a result\n{done.stderr[-2000:]}")
+    if result.get("correct") is not True or result.get("failed") != 0:
+        sys.exit(f"error: {where}: invalid run, correct={result.get('correct')} "
+                 f"failed={result.get('failed')}\n{done.stderr[-2000:]}")
     row = {"pair": pair, "correct": result["correct"], "attempted": result["attempted"],
            "failed": result["failed"]}
     row.update({name: round(m["value"], 4) for name, m in result["metrics"].items()})

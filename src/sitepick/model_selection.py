@@ -17,7 +17,16 @@ is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at n = 1500 and 0.8 GB
 at n = 10 000. With workers > 1 each pool worker builds its own copy in the
 pool initializer and the parent builds none, so the figure holds per
 worker. The matrix is filled in row blocks, so building it takes only
-O(block * n) scratch beyond the matrix itself.
+O(block * n) scratch beyond the matrix itself. Next to it each process
+keeps the matrix's minimum spanning tree, n - 1 edges of 24 bytes, from
+which Dunn scoring reads every run's closest inter-cluster pair. Scoring
+one run then needs O(n) scratch, plus one cluster's s x s block of the
+matrix at a time while its diameter is read.
+
+Within a k, runs are scored in run order against the best so far, and a
+run whose exact upper bound on the Dunn index cannot beat it is dropped
+before any diameter is read (see `_dunn_from_matrix`). Ties keep the
+earlier run, so the winner is the one scoring every run would pick.
 
 A k's restarts run as batches through one `_kmeans_batch` call. A batch's
 largest scratch array, its (runs, k, n) float64 dot products, is capped at
@@ -51,6 +60,9 @@ from .errors import DegenerateClusteringError, SweepError, ValidationError
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
+
+# A minimum spanning tree as its edges (a, b, w); see `_spanning_tree`.
+_Tree = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,8 @@ def dunn_index(
         raise ValidationError(f"{len(coords)} points but {labels.size} labels")
     if np.unique(labels).size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
-    score = _dunn_from_matrix(_distance_matrix(coords, metric), labels)
+    dist = _distance_matrix(coords, metric)
+    score = _dunn_from_matrix(dist, _spanning_tree(dist), labels)
     if score is None:
         raise DegenerateClusteringError(
             "every cluster has zero diameter; the Dunn ratio is undefined"
@@ -129,32 +142,83 @@ def dunn_index(
     return score
 
 
-def _dunn_from_matrix(dist: np.ndarray, labels: np.ndarray) -> DunnScore | None:
-    """Dunn score from a symmetric distance matrix with a zero diagonal, one
-    cluster at a time, or None when the largest cluster diameter is zero
-    (all-singleton/coincident case). Needs two non-empty clusters.
+def _spanning_tree(dist: np.ndarray) -> _Tree:
+    """Minimum spanning tree of a symmetric distance matrix as its n - 1 edges
+    (a, b, w): index arrays a and b and float64 weights w, with w[i] the
+    matrix entry dist[a[i], b[i]]. Prim's algorithm over rows of `dist`,
+    O(n^2) time and O(n) scratch.
 
-    A cluster's rows give its diameter (its own columns) and its distances
-    to every other cluster (the remaining columns). Min and max are exact,
-    so the result does not depend on the order clusters are visited in.
+    By the cut property every partition's closest pair of points in different
+    clusters is joined by a tree edge, so the tree holds the minimum
+    inter-cluster distance of any labelling of these points.
     """
+    n = dist.shape[0]
+    a = np.empty(n - 1, dtype=np.intp)
+    b = np.empty(n - 1, dtype=np.intp)
+    w = np.empty(n - 1, dtype=np.float64)
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    nearest = np.zeros(n, dtype=np.intp)  # tree point closest to each outside point
+    gap = dist[0].copy()  # its distance; inf once the point joins the tree
+    gap[0] = np.inf
+    for edge in range(n - 1):
+        joined = int(gap.argmin())
+        a[edge], b[edge], w[edge] = nearest[joined], joined, gap[joined]
+        outside[joined] = False
+        gap[joined] = np.inf
+        row = dist[joined]
+        closer = (row < gap) & outside
+        gap[closer] = row[closer]
+        nearest[closer] = joined
+    return a, b, w
+
+
+def _dunn_from_matrix(
+    dist: np.ndarray,
+    tree: _Tree,
+    labels: np.ndarray,
+    to_beat: float = -math.inf,
+) -> DunnScore | None:
+    """Dunn score of `labels` over a bitwise symmetric distance matrix with a
+    zero diagonal and its `_spanning_tree`, or None when the score cannot
+    exceed `to_beat` or the largest cluster diameter is zero (all-singleton/
+    coincident case). Needs two non-empty clusters.
+
+    The closest inter-cluster pair is the lightest tree edge whose ends carry
+    different labels: the same matrix entry a search of all pairs finds.
+    Before any diameter is read, the largest distance from a point to its
+    cluster's lowest-index member, itself an intra-cluster entry, bounds the
+    largest diameter from below. IEEE division is monotone, so min_inter /
+    that bound bounds the score from above bit for bit, and a run whose bound
+    is at most `to_beat` is dropped unscored. A zero bound proves nothing (the
+    run may be degenerate), so such a run is scored in full. Then each
+    cluster's diameter is the max of its own s x s block, one cluster at a
+    time. Min and max are exact, so the result does not depend on the order
+    edges or clusters are visited in.
+    """
+    a, b, w = tree
+    min_inter_km = float(w[labels[a] != labels[b]].min())
+    # A stable sort puts each cluster's members in index order, its lowest first.
     order = np.argsort(labels, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
+    anchors = np.repeat(order[bounds[:-1]], np.diff(bounds))
+    lower = float(dist[anchors, order].max())
+    if lower > 0.0 and min_inter_km / lower <= to_beat:
+        return None
     max_intra_km = 0.0
-    min_inter_km = math.inf
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        members = order[a:b]
-        rows = dist[members]
-        max_intra_km = max(max_intra_km, float(rows[:, members].max()))
-        rows[:, members] = np.inf
-        min_inter_km = min(min_inter_km, float(rows.min()))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            members = order[start:stop]
+            max_intra_km = max(max_intra_km, float(dist[np.ix_(members, members)].max()))
     if max_intra_km == 0.0:
         return None
-    return DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
+    score = DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
+    return score if score.value > to_beat else None
 
 
 def _best_for_k(
     dist: np.ndarray,
+    tree: _Tree,
     coords: np.ndarray,
     weights: np.ndarray,
     runs_per_k: int,
@@ -163,33 +227,44 @@ def _best_for_k(
     max_iterations: int,
     k: int,
 ) -> Optional[KBest]:
+    """The highest-scoring of k's runs_per_k seeded runs, the earliest among
+    equal scores, or None when every run is degenerate.
+
+    Runs are visited in run order and each is scored against the best so far:
+    `_dunn_from_matrix` drops, without reading a diameter, every run whose
+    exact upper bound cannot beat it. A dropped run could at best tie, and
+    ties keep the earlier run, so the winner is the one exhaustive scoring
+    picks.
+    """
     seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
     runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
     best: Optional[KBest] = None
     for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
-        score = _dunn_from_matrix(dist, labels)
-        if score is None:
-            continue
-        if best is None or score.value > best.dunn.value:
+        to_beat = -math.inf if best is None else best.dunn.value
+        score = _dunn_from_matrix(dist, tree, labels, to_beat)
+        if score is not None:
             best = KBest(run, seed, centers, labels, iterations, converged, score)
     return best
 
 
-# Distance matrix of the quadrant a pool worker is sweeping. It is set only
-# inside pool workers, by the pool initializer, and goes away when the pool
-# shuts its workers down; the parent process never sets it.
+# Distance matrix and its spanning tree of the quadrant a pool worker is
+# sweeping. They are set only inside pool workers, by the pool initializer,
+# and go away when the pool shuts its workers down; the parent process never
+# sets them.
 _WORKER_DIST: Optional[np.ndarray] = None
+_WORKER_TREE: Optional[_Tree] = None
 
 
 def _init_worker(coords: np.ndarray, metric: DistanceMetric) -> None:
-    global _WORKER_DIST
+    global _WORKER_DIST, _WORKER_TREE
     _WORKER_DIST = _distance_matrix(coords, metric)
+    _WORKER_TREE = _spanning_tree(_WORKER_DIST)
 
 
 def _best_for_k_in_worker(*args) -> Optional[KBest]:
-    """_best_for_k over the matrix this pool worker built in _init_worker."""
+    """_best_for_k over the matrix and tree this pool worker built in _init_worker."""
     assert _WORKER_DIST is not None, "pool worker started without _init_worker"
-    return _best_for_k(_WORKER_DIST, *args)
+    return _best_for_k(_WORKER_DIST, _WORKER_TREE, *args)
 
 
 def _pool_size(workers: int, cells: int, cpus: int) -> int:
@@ -243,7 +318,8 @@ def sweep(
             bests = list(pool.map(partial(_best_for_k_in_worker, *args), ks))
     else:
         dist = _distance_matrix(coords, metric)
-        bests = [_best_for_k(dist, *args, k) for k in ks]
+        tree = _spanning_tree(dist)
+        bests = [_best_for_k(dist, tree, *args, k) for k in ks]
 
     per_k = dict(zip(ks, bests))
     scored = [k for k, best in per_k.items() if best is not None]

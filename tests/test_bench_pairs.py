@@ -56,3 +56,28 @@ def test_run_once_reads_the_result_line(tmp_path):
 def test_run_once_stops_on_a_line_that_is_not_a_result(tmp_path, last_line):
     with pytest.raises(SystemExit, match="not a result"):
         bench_pairs.run_once(fake_checkout(tmp_path, last_line), "large-n", 3, 1)
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1), (None, 0), (True, None)])
+def test_run_once_stops_on_an_invalid_run(tmp_path, correct, failed):
+    result = {"correct": correct, "attempted": 4, "failed": failed,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    with pytest.raises(SystemExit, match="invalid run"):
+        bench_pairs.run_once(fake_checkout(tmp_path, json.dumps(result)), "large-n", 3, 1)
+
+
+def test_an_invalid_run_writes_no_output(tmp_path):
+    result = {"correct": False, "attempted": 4, "failed": 0,
+              "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+        fake_checkout(checkout, json.dumps(result))
+    (change / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}), encoding="utf-8"
+    )
+    output = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit, match="invalid run"):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                          "large-n", "--pairs", "2", "--seed", "3", "-o", str(output)])
+    assert not output.exists()

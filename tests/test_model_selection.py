@@ -6,6 +6,7 @@ with plain Python loops over the scalar distance function, independently of
 the vectorized implementation under test.
 """
 
+import dataclasses
 import math
 import os
 
@@ -26,7 +27,9 @@ from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
+    _dunn_from_matrix,
     _pool_size,
+    _spanning_tree,
     default_k_max,
     dunn_index,
     sweep,
@@ -231,6 +234,72 @@ def test_distance_matrix_is_the_broadcast_matrix_and_symmetric(metric):
     assert not dist.diagonal().any()
 
 
+# --- spanning tree ---
+
+
+def test_spanning_tree_of_two_points():
+    dist = _distance_matrix(TWO_BAND[:2], HaversineMetric())
+    a, b, w = _spanning_tree(dist)
+    assert (a.tolist(), b.tolist()) == ([0], [1])
+    assert w.tolist() == [dist[0, 1]]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_spanning_tree_spans_and_holds_the_closest_inter_cluster_pair(data):
+    n = data.draw(st.integers(min_value=2, max_value=30))
+    # Points on a coarse integer grid under the planar metric: many equal
+    # distances and, from repeated grid points, zero distances.
+    side = data.draw(st.integers(min_value=1, max_value=4))
+    cells = st.tuples(st.integers(0, side), st.integers(0, side))
+    coords = 0.01 * np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    dist = _distance_matrix(coords, PlanarMetric())
+    a, b, w = _spanning_tree(dist)
+
+    assert a.size == b.size == w.size == n - 1
+    assert np.array_equal(w, dist[a, b])
+    # n - 1 edges that never close a cycle connect all n points.
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, j in zip(a.tolist(), b.tolist()):
+        assert find(i) != find(j)
+        root[find(i)] = find(j)
+    # Every minimum spanning tree has the same multiset of weights as Kruskal's.
+    iu, iv = np.triu_indices(n, k=1)
+    kruskal = []
+    root = list(range(n))
+    for pair in np.argsort(dist[iu, iv], kind="stable").tolist():
+        i, j = find(int(iu[pair])), find(int(iv[pair]))
+        if i != j:
+            root[i] = j
+            kruskal.append(dist[iu[pair], iv[pair]])
+    assert sorted(w.tolist()) == sorted(kruskal)
+
+    # Label values with gaps and negatives, at least two of them in use.
+    values = data.draw(st.lists(st.integers(-3, 9), min_size=2, max_size=min(n, 4), unique=True))
+    rest = data.draw(st.lists(st.sampled_from(values), min_size=n - 2, max_size=n - 2))
+    labels = np.array(data.draw(st.permutations(values[:2] + rest)))
+    same = labels[iu] == labels[iv]
+    min_inter = dist[iu, iv][~same].min()
+    assert w[labels[a] != labels[b]].min() == min_inter
+    intra = dist[iu, iv][same]
+    max_intra = intra.max() if intra.size else 0.0
+    score = _dunn_from_matrix(dist, (a, b, w), labels)
+    if max_intra == 0.0:
+        assert score is None
+    else:
+        assert score == DunnScore(min_inter / max_intra, min_inter, max_intra)
+
+
+def test_dunn_index_reads_label_values_with_gaps():
+    assert dunn_index(TWO_BAND, np.array([3, 3, 7, 7])) == dunn_index(TWO_BAND, TWO_BAND_LABELS)
+
+
 def test_pool_size_clamps_to_cells_and_cpus():
     assert _pool_size(1, 37, 8) == 1
     assert _pool_size(2, 37, 8) == 2
@@ -400,6 +469,78 @@ def test_sweep_worker_count_does_not_change_results():
         assert a.dunn == b.dunn
         assert np.array_equal(a.centers, b.centers)
         assert np.array_equal(a.labels, b.labels)
+
+
+def _bits(score):
+    return [float.hex(value) for value in dataclasses.astuple(score)]
+
+
+def _best_scoring_every_run(coords, weights, k, runs_per_k, base_seed, metric, max_iterations):
+    """(run, seed, result, score) of k's best run, found by running each seed
+    alone and scoring every run over all pairs; ties keep the earliest run."""
+    iu, iv = np.triu_indices(len(coords), k=1)
+    flat = metric.pairwise(coords, coords)[iu, iv]
+    best = None
+    for run in range(runs_per_k):
+        seed = derive_seed(base_seed, k, run)
+        result = kmeans(coords, weights, k, metric, seed, max_iterations)
+        same = result.labels[iu] == result.labels[iv]
+        max_intra = float(flat[same].max()) if same.any() else 0.0
+        if max_intra == 0.0:
+            continue
+        min_inter = float(flat[~same].min())
+        score = DunnScore(min_inter / max_intra, min_inter, max_intra)
+        if best is None or score.value > best[3].value:
+            best = (run, seed, result, score)
+    return best
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sweep_keeps_the_run_that_scoring_every_run_keeps(data):
+    metric = data.draw(st.sampled_from([HaversineMetric(), PlanarMetric()]))
+    n = data.draw(st.integers(min_value=4, max_value=14))
+    layout = data.draw(st.sampled_from(["coincident", "separated", "scattered"]))
+    near = st.builds(from_degrees, st.floats(1.2, 1.5), st.floats(103.6, 104.0))
+    if layout == "coincident":
+        # Fewer distinct spots than points: runs with many clusters degenerate.
+        spots = data.draw(st.lists(near, min_size=1, max_size=n - 1))
+        picks = data.draw(st.lists(st.integers(0, len(spots) - 1), min_size=n, max_size=n))
+        points = [spots[i] for i in picks]
+    elif layout == "separated":
+        # Tight bands a degree apart: restarts land on the same partition and tie.
+        bands = data.draw(st.integers(min_value=2, max_value=4))
+        points = [from_degrees(float(i % bands) + 0.001 * (i // bands), 103.8) for i in range(n)]
+    else:
+        points = data.draw(st.lists(near, min_size=n, max_size=n))
+    coords = coords_array(points)
+    weights = np.array(data.draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    # Always one k close to n, where coincident points leave few usable runs.
+    ks = sorted({n - data.draw(st.integers(0, 2))} | set(
+        data.draw(st.lists(st.integers(2, n), max_size=2))
+    ))
+    runs_per_k = data.draw(st.integers(min_value=1, max_value=8))
+    base_seed = data.draw(st.integers(min_value=0, max_value=2**32))
+    # Runs that keep repairing coincident points never converge; a low cap
+    # keeps them short, and both sides apply it.
+    options = dict(runs_per_k=runs_per_k, base_seed=base_seed, metric=metric, max_iterations=20)
+
+    want = {k: _best_scoring_every_run(coords, weights, k, **options) for k in ks}
+    if all(best is None for best in want.values()):
+        with pytest.raises(SweepError):
+            sweep(coords, weights, k_range=ks, **options)
+        return
+    got = sweep(coords, weights, k_range=ks, **options)
+    for k in ks:
+        if want[k] is None:
+            assert got.per_k[k] is None
+            continue
+        run, seed, result, score = want[k]
+        kb = got.per_k[k]
+        assert (kb.run_index, kb.seed) == (run, seed)
+        assert np.array_equal(kb.labels, result.labels)
+        assert np.array_equal(kb.centers, result.centers)
+        assert _bits(kb.dunn) == _bits(score)
 
 
 def test_sweep_default_range_ends_at_isqrt():
