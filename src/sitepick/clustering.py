@@ -15,7 +15,8 @@ Seeding and empty-cluster repair only ever need distances from data points
 to data points, so they read rows of the full pairwise matrix
 (`_distance_matrix`) that the caller builds once and shares across runs.
 The matrix is bitwise symmetric, so a row is exactly the column a direct
-metric call would return.
+metric call would return. Repair moves labels only, and a pass whose labels
+equal the previous pass's is a fixed point and converges, repaired or not.
 
 Restarts of one k run as a batch (`_kmeans_batch`): seeding, assignment and
 center update each take all of the batch's runs in one array operation, and
@@ -206,6 +207,18 @@ def _validate_coords(coords: np.ndarray) -> None:
         raise ValidationError("coords must be finite")
 
 
+def _checked_labels(coords: np.ndarray, labels: "list[int] | np.ndarray") -> np.ndarray:
+    """`labels` as an array once coords pass `_validate_coords` and there is
+    one label per point."""
+    _validate_coords(coords)
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError("labels must be a flat sequence")
+    if labels.size != len(coords):
+        raise ValidationError(f"{len(coords)} points but {labels.size} labels")
+    return labels
+
+
 def _checked_weights(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
     """`weights` as float64 once coords pass `_validate_coords` and there is
     one finite, positive weight per point."""
@@ -271,54 +284,37 @@ def _kmeanspp_core(matrix: np.ndarray, k: int, rng: SplitMix64) -> list[int]:
     return _kmeanspp_batch(matrix, k, [rng])[0].tolist()
 
 
-def _repair_empty_clusters(
-    matrix: np.ndarray,
-    coords: np.ndarray,
-    centers: np.ndarray,
-    dist: np.ndarray,
-    labels: np.ndarray,
-) -> bool:
-    """Ensure no cluster is empty; mutates centers, dist and labels in place.
+def _repair_empty_clusters(matrix: np.ndarray, dist: np.ndarray, labels: np.ndarray) -> None:
+    """Ensure no cluster is empty by relabelling points; mutates dist and
+    labels in place and moves no center, since the caller recomputes every
+    center from the labels.
 
-    An emptied cluster's center is moved onto the point farthest from it and
-    the nearest-center assignment is recomputed. If exact coordinate
-    duplicates keep the cluster empty (another center sits on the very same
-    point), the farthest point whose donor cluster can spare a member is
-    pinned to it instead. Returns True when any label was pinned, i.e. the
-    final labels are not a pure argmin of the returned centers.
+    An emptied cluster's column of dist becomes the distances from the point
+    farthest from its center, as if the center moved there, and every label
+    becomes the argmin of dist. If exact coordinate duplicates keep the
+    cluster empty (another column equals it), the farthest point whose donor
+    cluster can spare a member is pinned to it instead.
     """
-    k = centers.shape[0]
-    pinned: dict[int, int] = {}
-
-    def apply_argmin() -> None:
-        labels[:] = dist.argmin(axis=1)
-        for point, cluster in pinned.items():
-            labels[point] = cluster
-
+    k = dist.shape[1]
     for _ in range(k):
         empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
         if empties.size == 0:
             break
         j = int(empties[0])
-        farthest = int(dist[:, j].argmax())
-        centers[j] = coords[farthest]
-        dist[:, j] = matrix[farthest]
-        apply_argmin()
+        dist[:, j] = matrix[int(dist[:, j].argmax())]
+        labels[:] = dist.argmin(axis=1)
 
     counts = np.bincount(labels, minlength=k)
+    unpinned = np.ones(labels.size, dtype=bool)
     for j in np.flatnonzero(counts == 0):
-        spare = counts[labels] > 1
-        for point in pinned:
-            spare[point] = False
-        column = np.where(spare, dist[:, int(j)], -np.inf)
+        column = np.where(unpinned & (counts[labels] > 1), dist[:, j], -np.inf)
         point = int(column.argmax())
         # n >= k guarantees some cluster has two members, and pinned points
         # occupy distinct clusters, so an eligible donor always exists.
         assert np.isfinite(column[point])
-        labels[point] = int(j)
-        pinned[point] = int(j)
+        labels[point] = j
+        unpinned[point] = False
         counts = np.bincount(labels, minlength=k)
-    return bool(pinned)
 
 
 def _update_centers(
@@ -382,9 +378,10 @@ def _kmeans_batch(
     seed order; `matrix` is `_distance_matrix(coords, metric)`.
 
     Runs go through seeding, assignment and center update together, in
-    batches of at most _BATCH_ELEMENTS // (n * k) runs. A run leaves its batch
-    when its labels stop changing, and a run that empties a cluster is
-    repaired on its own, so each result is bitwise what the run gives alone.
+    batches of at most _BATCH_ELEMENTS // (n * k) runs. A run that empties a
+    cluster has its labels repaired on its own, and a run leaves its batch
+    when its labels, repaired or not, equal those of its previous pass, so
+    each result is bitwise what the run gives alone.
     """
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -398,30 +395,22 @@ def _kmeans_batch(
         done: list = [None] * len(batch)
         live = np.arange(len(batch))  # batch positions of the runs still iterating
         centers = coords[_kmeanspp_batch(matrix, k, [SplitMix64(seed) for seed in batch])]
-        labels: np.ndarray | None = None
+        labels = np.full((len(batch), n), -1)  # matches no pass's labels
         for iteration in range(1, max_iterations + 1):
             new_labels = assign(centers)
             bins = new_labels + k * np.arange(live.size)[:, None]
             counts = np.bincount(bins.ravel(), minlength=live.size * k).reshape(-1, k)
-            # Any repair (center relocation or pinned label) makes this pass
-            # incomparable with the previous one, so it cannot declare convergence.
-            repaired = (counts == 0).any(axis=1)
-            for run in np.flatnonzero(repaired):
+            for run in np.flatnonzero((counts == 0).any(axis=1)):
                 dist = metric.pairwise(coords, centers[run])
-                _repair_empty_clusters(matrix, coords, centers[run], dist, new_labels[run])
-            if labels is not None:
-                converged = ~repaired & (new_labels == labels).all(axis=1)
-                for run in np.flatnonzero(converged):
-                    done[live[run]] = (
-                        centers[run].copy(), new_labels[run].copy(), iteration, True
-                    )
-                live, centers = live[~converged], centers[~converged]
-                new_labels = new_labels[~converged]
-                if live.size == 0:
-                    break
-            labels = new_labels
+                _repair_empty_clusters(matrix, dist, new_labels[run])
+            converged = (new_labels == labels).all(axis=1)
+            for run in np.flatnonzero(converged):
+                done[live[run]] = (centers[run].copy(), new_labels[run].copy(), iteration, True)
+            live, centers = live[~converged], centers[~converged]
+            labels = new_labels[~converged]
+            if live.size == 0:
+                break
             centers = _update_centers(coords, weights, weighted, labels, k)
-        assert labels is not None
         for run, position in enumerate(live.tolist()):
             done[position] = (centers[run].copy(), labels[run].copy(), max_iterations, False)
         results += done

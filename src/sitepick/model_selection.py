@@ -50,10 +50,10 @@ import numpy as np
 from .clustering import (
     DistanceMetric,
     HaversineMetric,
+    _checked_labels,
     _checked_weights,
     _distance_matrix,
     _kmeans_batch,
-    _validate_coords,
     DEFAULT_MAX_ITERATIONS,
 )
 from .errors import DegenerateClusteringError, SweepError, ValidationError
@@ -125,12 +125,7 @@ def dunn_index(
     undefined; that raises DegenerateClusteringError rather than returning
     infinity, because such a partition carries no separation information.
     """
-    _validate_coords(coords)
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValidationError("labels must be a flat sequence")
-    if labels.size != len(coords):
-        raise ValidationError(f"{len(coords)} points but {labels.size} labels")
+    labels = _checked_labels(coords, labels)
     if np.unique(labels).size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
     dist = _distance_matrix(coords, metric)

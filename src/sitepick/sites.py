@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .clustering import DistanceMetric, HaversineMetric, _validate_coords
+from .clustering import DistanceMetric, HaversineMetric, _checked_labels, _validate_coords
 from .errors import EmptyClusterError, ValidationError
 
 if TYPE_CHECKING:
@@ -53,14 +53,9 @@ def select_representatives(
     `labels` gives each point's cluster in [0, k). Ties go to the lowest
     point index.
     """
-    _validate_coords(coords)
+    labels = _checked_labels(coords, labels)
     _validate_coords(centers)
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValidationError("labels must be a flat sequence")
     k = len(centers)
-    if labels.size != len(coords):
-        raise ValidationError(f"{len(coords)} points but {labels.size} labels")
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise ValidationError(f"every label must lie in [0, {k}) for {k} centers")
     representatives = np.empty(k, dtype=np.intp)

@@ -470,25 +470,37 @@ def test_kmeanspp_squared_distance_proportions():
 
 
 @pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
-def test_repair_leaves_dist_equal_to_the_metric_on_the_new_centers(metric):
+def test_repair_fills_every_cluster_by_relabelling_against_matrix_rows(metric):
     coords = whole_sphere_coords(40, seed=10)
     matrix = _distance_matrix(coords, metric)
     rng = np.random.default_rng(11)
-    repaired = 0
+    repaired = pinned_cases = 0
     for _ in range(200):
         k = int(rng.integers(2, 9))
         # Repeated seed indices tie in the argmin, which empties the later copies.
         centers = coords[rng.choice(coords.shape[0], size=k, replace=True)]
         centers[rng.integers(1, k)] = centers[0]
-        dist = metric.pairwise(coords, centers)
+        before = metric.pairwise(coords, centers)
+        dist = before.copy()
         labels = dist.argmin(axis=1)
         if np.bincount(labels, minlength=k).min() > 0:
             continue
         repaired += 1
-        _repair_empty_clusters(matrix, coords, centers, dist, labels)
-        assert np.array_equal(dist, metric.pairwise(coords, centers))
+        _repair_empty_clusters(matrix, dist, labels)
         assert np.bincount(labels, minlength=k).min() >= 1
+        for j in range(k):
+            column = dist[:, j]
+            assert np.array_equal(column, before[:, j]) or (matrix == column).all(axis=1).any()
+        # Every label is the argmin of dist but one pinned point for each
+        # cluster that the argmin leaves empty.
+        argmin = dist.argmin(axis=1)
+        pinned = labels != argmin
+        assert np.array_equal(
+            np.sort(labels[pinned]), np.flatnonzero(np.bincount(argmin, minlength=k) == 0)
+        )
+        pinned_cases += pinned.any()
     assert repaired > 100
+    assert pinned_cases > 0
 
 
 # --- k-means ---
@@ -573,16 +585,20 @@ def test_kmeans_iteration_cap():
 
 
 def test_kmeans_repairs_duplicate_collapse():
-    # Three copies of one location force seeding onto duplicates for k=3;
-    # the repair step must still deliver three non-empty clusters.
+    # Fewer distinct locations than clusters force seeding onto duplicates;
+    # the repair step must still deliver k non-empty clusters, and repaired
+    # labels that stop changing converge like any others.
     a = from_degrees(1.30, 103.80)
     b = from_degrees(1.40, 103.90)
-    coords = coords_array([a, a, a, b])
-    for seed in range(50):
-        result = kmeans(coords, [1.0, 1.0, 1.0, 1.0], k=3, seed=seed)
-        counts = np.bincount(result.labels, minlength=3)
-        assert counts.min() >= 1
-        assert math.isfinite(result.objective)
+    c = from_degrees(1.50, 104.00)
+    for points, k in [([a, a, a, b], 3), ([a, a, a, b, c], 4), ([a, a, b, c], 4)]:
+        for seed in range(50):
+            result = kmeans(coords_array(points), [1.0] * len(points), k=k, seed=seed)
+            counts = np.bincount(result.labels, minlength=k)
+            assert counts.min() >= 1
+            assert math.isfinite(result.objective)
+            assert result.converged
+            assert result.iterations <= 3
 
 
 def test_kmeans_rejects_bad_input():
@@ -671,10 +687,9 @@ def reference_run(matrix, coords, weights, k, metric, seed, max_iterations):
     for iteration in range(1, max_iterations + 1):
         dist = metric.pairwise(coords, centers)
         new_labels = dist.argmin(axis=1)
-        repaired = np.bincount(new_labels, minlength=k).min() == 0
-        if repaired:
-            _repair_empty_clusters(matrix, coords, centers, dist, new_labels)
-        if labels is not None and not repaired and np.array_equal(new_labels, labels):
+        if np.bincount(new_labels, minlength=k).min() == 0:
+            _repair_empty_clusters(matrix, dist, new_labels)
+        if labels is not None and np.array_equal(new_labels, labels):
             return centers, new_labels, iteration, True
         labels = new_labels
         centers = reference_centers(coords, weights, labels, k)

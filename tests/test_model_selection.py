@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sitepick.clustering import (
+    DEFAULT_MAX_ITERATIONS,
     HaversineMetric,
     PlanarMetric,
     _distance_matrix,
@@ -521,9 +522,10 @@ def test_sweep_keeps_the_run_that_scoring_every_run_keeps(data):
     ))
     runs_per_k = data.draw(st.integers(min_value=1, max_value=8))
     base_seed = data.draw(st.integers(min_value=0, max_value=2**32))
-    # Runs that keep repairing coincident points never converge; a low cap
-    # keeps them short, and both sides apply it.
-    options = dict(runs_per_k=runs_per_k, base_seed=base_seed, metric=metric, max_iterations=20)
+    options = dict(
+        runs_per_k=runs_per_k, base_seed=base_seed, metric=metric,
+        max_iterations=DEFAULT_MAX_ITERATIONS,
+    )
 
     want = {k: _best_scoring_every_run(coords, weights, k, **options) for k in ks}
     if all(best is None for best in want.values()):
