@@ -120,6 +120,92 @@ def test_weights_csv_quotes_fields_that_need_it(tmp_path):
     )
 
 
+# A BOM, CRLF line ends, renamed columns in a shuffled order, rationale
+# present and cadence absent, blank and short rows, every diagnostic kind,
+# quoted commas, quotes and CRs, and quadrant D with no accepted row.
+MESSY_SURVEY = b"\xef\xbb\xbf" + "\r\n".join([
+    "quadrant,id,region,lat,lng,visit_count_category,avg_duration_min,why",
+    'A,p1,"Central, North",1.35,103.94,1 to 3,5,"near ""home"", mostly"',
+    'calm and tranquil,"p,2",East,1.3,103.8,10 OR MORE times,12.5,"late\rnight"',
+    "",
+    ",,,",
+    "B",
+    "E,p5,West,1.3,103.8,1 to 3,5,x",
+    "B,p6,West,abc,103.8,1 to 3,5,x",
+    "B,p7,West,1.3,nan,1 to 3,5,x",
+    "B,p8,West,95,103.8,1 to 3,5,x",
+    "B,p9,West,1.3,103.8,weekly,5,x",
+    "B,p10,West,1.3,103.8,4 to 6,-2.5,x",
+    'b,p11,"say ""hi""",1.29,103.85,7 to 9,0,',
+    'C,"p\r12","Marina\rBay",1.28,103.86,4 to 6,3.25,',
+    "C,p13,North,1.44,103.79,10 or more,45",
+    " Chaotic and Restless ,p14,  CBD ,1.3,103.8, 4  to  6 ,7.5,extra,cells",
+    "D,p15,CBD,1.3,103.8,1 to 3,inf,x",
+    "lifeless and boring,p16,CBD,1.3,-181e999,1 to 3,1,x",
+    "",
+]).encode("utf-8")
+MESSY_COLUMN_MAP = "participant_id = id\nlatitude_deg = lat\nlongitude_deg = lng\nrationale = why\n"
+MESSY_WEIGHTS = (
+    b"source_row,participant_id,quadrant,region,frequency_factor,avg_duration_min,weight\n"
+    b'2,p1,A,"Central, North",1,5.000000,0.993307149076\n'
+    b'13,p11,B,"say ""hi""",3,0.000000,0.500000000000\n'
+    b"16,p14,B,CBD,2,7.500000,0.999999694098\n"
+    b'3,"p,2",C,East,4,12.500000,1.000000000000\n'
+    b'14,"p\r12",C,"Marina\rBay",2,3.250000,0.998498817743\n'
+)
+MESSY_AUC = (
+    b"quadrant,label,n_points,auc\n"
+    b"A,full of life and exciting,1,0.993307149076\n"
+    b"B,chaotic and restless,2,0.749999847049\n"
+    b"C,calm and tranquil,2,0.999249408872\n"
+)
+MESSY_STDOUT = (
+    "quadrant A (full of life and exciting): n=1 auc=0.9933\n"
+    "quadrant B (chaotic and restless): n=2 auc=0.7500\n"
+    "quadrant C (calm and tranquil): n=2 auc=0.9992\n"
+)
+MESSY_STDERR = (
+    "warning: row 6, column id: missing value\n"
+    "warning: row 6, column region: missing value\n"
+    "warning: row 6, column lat: missing value\n"
+    "warning: row 6, column lng: missing value\n"
+    "warning: row 6, column visit_count_category: missing value\n"
+    "warning: row 6, column avg_duration_min: missing value\n"
+    "warning: row 6, column why: missing value\n"
+    "warning: row 7, column quadrant: unknown quadrant 'E'\n"
+    "warning: row 8, column lat: not a number: 'abc'\n"
+    "warning: row 9, column lng: not finite: 'nan'\n"
+    "warning: row 10, column lat: latitude 95.0 outside [-90, 90]\n"
+    "warning: row 11, column visit_count_category: expected one of "
+    "'1 to 3', '4 to 6', '7 to 9', '10 or more', got 'weekly'\n"
+    "warning: row 12, column avg_duration_min: negative duration -2.5\n"
+    "warning: row 15, column why: missing value\n"
+    "warning: row 17, column avg_duration_min: not finite: 'inf'\n"
+    "warning: row 18, column lng: not finite: '-181e999'\n"
+    "quadrant D (lifeless and boring): no responses\n"
+)
+
+
+def run_messy_weights(tmp_path, capsys):
+    survey = tmp_path / "messy.csv"
+    survey.write_bytes(MESSY_SURVEY)
+    column_map = tmp_path / "columns.txt"
+    column_map.write_text(MESSY_COLUMN_MAP, encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["weights", str(survey), "-o", str(out), "--column-map", str(column_map)])
+    captured = capsys.readouterr()
+    return code, out, captured
+
+
+def test_weights_pins_a_messy_survey(tmp_path, capsys):
+    code, out, captured = run_messy_weights(tmp_path, capsys)
+    assert code == 0
+    assert (out / "weights.csv").read_bytes() == MESSY_WEIGHTS
+    assert (out / "auc_summary.csv").read_bytes() == MESSY_AUC
+    assert captured.out == MESSY_STDOUT
+    assert captured.err == MESSY_STDERR
+
+
 # --- cluster ---
 
 
