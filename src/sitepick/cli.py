@@ -44,7 +44,6 @@ from .io_pipeline import (
     Quadrant,
     QuadrantSummary,
     RunManifest,
-    SurveyResponse,
     build_weighted_points,
     csv_field,
     export_dunn_curve,
@@ -57,7 +56,7 @@ from .io_pipeline import (
 from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep
 from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
 from .synth import WEIGHT_LAWS, SynthSpec, synthetic_csv
-from .weighting import frequency_weight, reliability_auc, reliability_weight
+from .weighting import FrequencyCategory, frequency_weight, reliability_auc, reliability_weight
 
 _QUADRANT_CHOICES = tuple(q.letter for q in Quadrant)
 
@@ -220,19 +219,20 @@ def cmd_weights(args: argparse.Namespace) -> int:
     out_dir = Path(config.output_dir)
     lines = ["source_row,participant_id,quadrant,region,frequency_factor,avg_duration_min,weight"]
     summary = ["quadrant,label,n_points,auc"]
-    by_quadrant: dict[Quadrant, list[SurveyResponse]] = {quadrant: [] for quadrant in Quadrant}
-    for response in parsed.responses:
-        by_quadrant[response.quadrant].append(response)
+    # Keyed by identity: hashing an enum member runs Python code, and the
+    # lookup runs once per accepted row.
+    factor_by_id = {id(category): frequency_weight(category) for category in FrequencyCategory}
+    source_rows, participants, regions = parsed.rows, parsed.participant_ids, parsed.regions
+    categories, durations = parsed.categories, parsed.durations_min
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
         weights: list[float] = []
-        for response in by_quadrant[quadrant]:
-            factor = frequency_weight(response.visit_count_category)
-            weights.append(reliability_weight(factor, response.avg_duration_min))
+        for i in [i for i, q in enumerate(parsed.quadrants) if q is quadrant]:
+            factor = factor_by_id[id(categories[i])]
+            weights.append(reliability_weight(factor, durations[i]))
             lines.append(
-                f"{response.row},{csv_field(response.participant_id)},{letter},"
-                f"{csv_field(response.region)},"
-                f"{factor},{response.avg_duration_min:.6f},{weights[-1]:.12f}"
+                f"{source_rows[i]},{csv_field(participants[i])},{letter},{csv_field(regions[i])},"
+                f"{factor},{durations[i]:.6f},{weights[-1]:.12f}"
             )
         n = len(weights)
         if not n:

@@ -2,6 +2,8 @@
 
 Parsing is diagnostic-first: a malformed row is reported with its row number
 and column and skipped, it never aborts the run unless strict mode is on.
+Accepted rows are kept as columns, one list per field; a SurveyResponse per
+row is built only when a caller first asks for ParseResult.responses.
 Each quadrant's points are one QuadrantPoints, built once and read by the
 sweep, site selection and every export.
 Exporters render floats themselves (fixed decimal places) so artifacts are
@@ -17,6 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -100,13 +103,37 @@ class RowDiagnostic:
 
 @dataclass
 class ParseResult:
-    responses: "list[SurveyResponse]"
+    """A parsed survey: its diagnostics, its count of non-blank data rows, and
+    its accepted rows as aligned columns in input order, one entry per row.
+    Each column holds what the SurveyResponse field of the same meaning
+    holds; `responses` is the same rows as SurveyResponse objects."""
+
     diagnostics: "list[RowDiagnostic]"
     total_rows: int
+    rows: "list[int]" = field(default_factory=list)
+    participant_ids: "list[str]" = field(default_factory=list)
+    quadrants: "list[Quadrant]" = field(default_factory=list)
+    regions: "list[str]" = field(default_factory=list)
+    lat_deg: "list[float]" = field(default_factory=list)
+    lon_deg: "list[float]" = field(default_factory=list)
+    categories: "list[FrequencyCategory]" = field(default_factory=list)
+    durations_min: "list[float]" = field(default_factory=list)
+    cadences: "list[Optional[str]]" = field(default_factory=list)
+    rationales: "list[Optional[str]]" = field(default_factory=list)
 
     @property
     def accepted(self) -> int:
-        return len(self.responses)
+        return len(self.rows)
+
+    @cached_property
+    def responses(self) -> "list[SurveyResponse]":
+        """One SurveyResponse per accepted row, built on first access and
+        kept: every later access returns the same list."""
+        return list(map(
+            SurveyResponse, self.participant_ids, self.quadrants, self.regions, self.lat_deg,
+            self.lon_deg, self.categories, self.durations_min, self.rows, self.cadences,
+            self.rationales,
+        ))
 
 
 def parse_key_values(text: str) -> "dict[str, str]":
@@ -165,14 +192,21 @@ def _records(reader) -> Iterator[list[str]]:
 
 
 def _number(raw: Optional[str]) -> "float | str":
-    """The finite float a cell holds, or the diagnostic message for the cell."""
+    """The finite float a cell holds, or the diagnostic message for the cell.
+
+    A number is ASCII text without underscores: float() alone would also read
+    "1_0" as 10 and non-ASCII digits such as "١٢". "-0" reads as 0.0.
+    """
     if raw is None:
         return _MISSING
+    if "_" in raw or not raw.isascii():
+        return f"not a number: {raw!r}"
     try:
         value = float(raw)
     except ValueError:
         return f"not a number: {raw!r}"
-    return value if math.isfinite(value) else f"not finite: {raw!r}"
+    # Adding 0.0 turns -0.0 into 0.0 and keeps every other finite value.
+    return value + 0.0 if math.isfinite(value) else f"not finite: {raw!r}"
 
 
 def _remember(memo: dict, parse: Callable[[str], object], raw: str) -> object:
@@ -189,7 +223,8 @@ def parse_responses(
     column_map: Mapping[str, str] | None = None,
     strict: bool = False,
 ) -> ParseResult:
-    """Parse survey CSV bytes into responses plus per-row diagnostics.
+    """Parse survey CSV bytes into columns of accepted rows plus per-row
+    diagnostics.
 
     column_map renames canonical columns to whatever the file actually uses
     (e.g. {"latitude_deg": "lat"}). A missing required column is a
@@ -223,10 +258,10 @@ def parse_responses(
     width = 1 + max(i for i in at if i is not None)
 
     # Raw token -> its Quadrant / FrequencyCategory, or its diagnostic message.
-    quadrants: dict = {None: _MISSING}
-    categories: dict = {None: _MISSING}
-    responses: list[SurveyResponse] = []
-    diagnostics: list[RowDiagnostic] = []
+    quadrant_memo: dict = {None: _MISSING}
+    category_memo: dict = {None: _MISSING}
+    result = ParseResult(diagnostics=[], total_rows=0)
+    diagnostics = result.diagnostics
     total = 0
     # Cells are checked in canonical column order; a row cut short is padded
     # with None, so its "missing value" diagnostics interleave in that order.
@@ -242,7 +277,7 @@ def parse_responses(
         if participant is None:
             diagnostics.append(RowDiagnostic(row, actual["participant_id"], _MISSING))
         raw = cells[quadrant_at]
-        quadrant = quadrants.get(raw) or _remember(quadrants, Quadrant.from_token, raw)
+        quadrant = quadrant_memo.get(raw) or _remember(quadrant_memo, Quadrant.from_token, raw)
         if type(quadrant) is str:
             diagnostics.append(RowDiagnostic(row, actual["quadrant"], quadrant))
         region = cells[region_at]
@@ -259,7 +294,7 @@ def parse_responses(
         if type(lon) is str:
             diagnostics.append(RowDiagnostic(row, actual["longitude_deg"], lon))
         raw = cells[category_at]
-        category = categories.get(raw) or _remember(categories, _parse_category, raw)
+        category = category_memo.get(raw) or _remember(category_memo, _parse_category, raw)
         if type(category) is str:
             diagnostics.append(RowDiagnostic(row, actual["visit_count_category"], category))
         duration = _number(cells[duration_at])
@@ -281,21 +316,23 @@ def parse_responses(
 
         if len(diagnostics) > reported:
             continue
-        # Positional, in field order: keyword arguments made building 140k
-        # responses about 45% slower.
-        responses.append(
-            SurveyResponse(
-                participant.strip(), quadrant, region.strip(), lat, lon, category, duration, row,
-                cadence.strip() if cadence is not None else None,
-                rationale.strip() if rationale is not None else None,
-            )
-        )
+        result.rows.append(row)
+        result.participant_ids.append(participant.strip())
+        result.quadrants.append(quadrant)
+        result.regions.append(region.strip())
+        result.lat_deg.append(lat)
+        result.lon_deg.append(lon)
+        result.categories.append(category)
+        result.durations_min.append(duration)
+        result.cadences.append(cadence.strip() if cadence is not None else None)
+        result.rationales.append(rationale.strip() if rationale is not None else None)
 
     if strict and diagnostics:
         raise ParseError(
             f"{len(diagnostics)} problem(s) in strict mode; first: {diagnostics[0]}"
         )
-    return ParseResult(responses=responses, diagnostics=diagnostics, total_rows=total)
+    result.total_rows = total
+    return result
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ import warnings
 import pytest
 
 import sitepick.cli
+import sitepick.io_pipeline
 from sitepick.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from sitepick.errors import ConfigError, EmptyClusterError
 from sitepick.io_pipeline import parse_responses
@@ -204,6 +205,29 @@ def test_weights_pins_a_messy_survey(tmp_path, capsys):
     assert (out / "auc_summary.csv").read_bytes() == MESSY_AUC
     assert captured.out == MESSY_STDOUT
     assert captured.err == MESSY_STDERR
+
+
+def test_weights_builds_no_survey_response(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights built a SurveyResponse")
+
+    monkeypatch.setattr(sitepick.io_pipeline.ParseResult, "responses", property(refuse))
+    monkeypatch.setattr(sitepick.io_pipeline, "SurveyResponse", refuse)
+    code, out, captured = run_messy_weights(tmp_path, capsys)
+    assert code == 0
+    assert (out / "weights.csv").read_bytes() == MESSY_WEIGHTS
+    assert (out / "auc_summary.csv").read_bytes() == MESSY_AUC
+    assert captured.err == MESSY_STDERR
+
+
+def test_weights_prints_a_minus_zero_duration_as_zero(tmp_path):
+    survey = write_survey(tmp_path, ["p1,A,CBD,-0,-0.0,1 to 3,-0", "p2,A,CBD,1.3,103.8,1 to 3,-0e5"])
+    out = tmp_path / "out"
+    assert main(["weights", str(survey), "-o", str(out)]) == 0
+    assert (out / "weights.csv").read_text(encoding="utf-8").splitlines()[1:] == [
+        "2,p1,A,CBD,1,0.000000,0.500000000000",
+        "3,p2,A,CBD,1,0.000000,0.500000000000",
+    ]
 
 
 # --- cluster ---

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -311,6 +312,56 @@ def test_parse_pins_a_header_without_optional_columns():
                   FrequencyCategory.ONE_TO_THREE, 5.0),
     ]
     assert result.total_rows == 3
+
+
+def test_parse_takes_only_ascii_numbers_without_underscores():
+    text = "\n".join([
+        HEADER,
+        "p1,A,CBD,1_0,103.0,1 to 3,5",
+        "p2,A,CBD,1.0,103.0,1 to 3,1_0",
+        "p3,A,CBD,1.0,\u0661\u0662,1 to 3,5",
+        "p4,A,CBD,1.0,103.0,1 to 3,\u0661\u0662",
+        "p5,A,CBD,\u00a01.0,103.0,1 to 3,\uff15",
+        "p6,A,CBD, 1.0 ,1e2,1 to 3,-0",
+    ])
+    result = parse(text)
+    assert [(d.row, d.column, d.message) for d in result.diagnostics] == [
+        (2, "latitude_deg", "not a number: '1_0'"),
+        (3, "avg_duration_min", "not a number: '1_0'"),
+        (4, "longitude_deg", "not a number: '\u0661\u0662'"),
+        (5, "avg_duration_min", "not a number: '\u0661\u0662'"),
+        (6, "latitude_deg", "not a number: '\\xa01.0'"),
+        (6, "avg_duration_min", "not a number: '\uff15'"),
+    ]
+    assert result.rows == [7]
+    assert (result.lat_deg, result.lon_deg, result.durations_min) == ([1.0], [100.0], [0.0])
+    assert math.copysign(1.0, result.durations_min[0]) == 1.0
+
+
+def test_parse_minus_zero_reads_as_positive_zero():
+    result = parse(HEADER + "\np1,A,CBD,-0,-0.0,1 to 3,-0.000e3\n")
+    response = result.responses[0]
+    for value in (response.lat_deg, response.lon_deg, response.avg_duration_min):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_parse_result_columns_are_the_responses_fields():
+    text = SIX_ROWS.replace(HEADER, HEADER + ",cadence,rationale").replace("\n", ",weekly,near\n")
+    result = parse(text.replace(",weekly,near\n", "\n", 1))
+    assert result.accepted == 6
+    responses = result.responses
+    assert result.responses is responses
+    columns = {
+        "row": result.rows, "participant_id": result.participant_ids,
+        "quadrant": result.quadrants, "region": result.regions, "lat_deg": result.lat_deg,
+        "lon_deg": result.lon_deg, "visit_count_category": result.categories,
+        "avg_duration_min": result.durations_min, "cadence": result.cadences,
+        "rationale": result.rationales,
+    }
+    assert set(columns) == {f.name for f in dataclasses.fields(SurveyResponse)}
+    for name, column in columns.items():
+        assert column == [getattr(r, name) for r in responses], name
+    assert result.cadences == ["weekly"] * 6 and result.rationales == ["near"] * 6
 
 
 def _records(lines):
