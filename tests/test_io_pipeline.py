@@ -346,8 +346,8 @@ def test_parse_minus_zero_reads_as_positive_zero():
 
 
 def test_parse_result_columns_are_the_responses_fields():
-    text = SIX_ROWS.replace(HEADER, HEADER + ",cadence,rationale").replace("\n", ",weekly,near\n")
-    result = parse(text.replace(",weekly,near\n", "\n", 1))
+    header, *rows = SIX_ROWS.splitlines()
+    result = parse("\n".join([header + ",cadence,rationale"] + [r + ",weekly,near" for r in rows]))
     assert result.accepted == 6
     responses = result.responses
     assert result.responses is responses
