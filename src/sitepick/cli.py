@@ -42,6 +42,7 @@ from .geo import EarthModel
 from .io_pipeline import (
     ParseResult,
     Quadrant,
+    QuadrantPoints,
     QuadrantSummary,
     RunManifest,
     build_weighted_points,
@@ -53,7 +54,7 @@ from .io_pipeline import (
     parse_responses,
     sha256_digest,
 )
-from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep
+from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep_quadrants as sweep
 from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
 from .synth import WEIGHT_LAWS, SynthSpec, synthetic_csv
 from .weighting import FrequencyCategory, frequency_weight, reliability_auc, reliability_weight
@@ -246,6 +247,14 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
+def _k_range(config: RunConfig, fixed_k: Optional[int], n: int) -> Sequence[int]:
+    """Candidate ks of a quadrant of n points."""
+    if fixed_k is not None:
+        return [fixed_k]
+    k_top = config.k_max if config.k_max is not None else default_k_max(n)
+    return range(config.k_min, k_top + 1)
+
+
 def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     config = resolve_config(args)
     column_map = _load_column_map(args.column_map)
@@ -265,33 +274,44 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         column_map=column_map,
         region_order=config.region_order,
     )
-    # Rendered in full before anything is written, so a quadrant that fails
-    # leaves no artifacts of the quadrants before it behind.
-    artifacts: list[tuple[str, bytes]] = []
+    # Phase 1: each selected quadrant's points and candidate ks (None when it
+    # has no responses), up to the first quadrant whose ks cannot be chosen:
+    # that quadrant fails the run, and none after it could fail it first.
+    jobs: list[tuple[str, QuadrantPoints, "Sequence[int] | SitepickError | None"]] = []
     for letter in config.quadrants:
+        points = build_weighted_points(parsed.responses, Quadrant.from_token(letter))
+        try:
+            ks = _k_range(config, fixed_k, len(points.responses)) if points.responses else None
+        except SitepickError as exc:
+            ks = exc
+        jobs.append((letter, points, ks))
+        if isinstance(ks, SitepickError):
+            break
+    # Phase 2: one sweep over the (quadrant, k) cells of every quadrant.
+    outcomes = iter(sweep(
+        [(points.coords, points.weights, ks) for _, points, ks in jobs
+         if ks is not None and not isinstance(ks, SitepickError)],
+        runs_per_k=config.runs_per_k,
+        base_seed=config.base_seed,
+        metric=metric,
+        max_iterations=config.max_iterations,
+        workers=config.workers,
+    ))
+    # Phase 3: quadrant by quadrant, the first failure decides the error.
+    # Artifacts are rendered in full before anything is written, so a
+    # quadrant that fails leaves no artifacts of the quadrants before it.
+    artifacts: list[tuple[str, bytes]] = []
+    for letter, points, ks in jobs:
         quadrant = Quadrant.from_token(letter)
-        points = build_weighted_points(parsed.responses, quadrant)
         n = len(points.responses)
-        if not n:
+        if ks is None:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
         auc = reliability_auc(points.weights)
         try:
-            if fixed_k is not None:
-                k_range: Sequence[int] = [fixed_k]
-            else:
-                k_top = config.k_max if config.k_max is not None else default_k_max(n)
-                k_range = range(config.k_min, k_top + 1)
-            swept = sweep(
-                points.coords,
-                points.weights,
-                k_range=k_range,
-                runs_per_k=config.runs_per_k,
-                base_seed=config.base_seed,
-                metric=metric,
-                max_iterations=config.max_iterations,
-                workers=config.workers,
-            )
+            swept = ks if isinstance(ks, SitepickError) else next(outcomes)
+            if isinstance(swept, SitepickError):
+                raise swept
             best = swept.best
             reps = select_representatives(points.coords, best.labels, best.centers, metric)
             sites = assign_site_ids(
@@ -383,9 +403,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--region-order", type=_parse_list,
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,
-                        help="processes for the k sweep, at most one per k and per CPU; "
-                             "each holds an 8*n*n-byte distance matrix and up to 2 MB of "
-                             "k-means scratch; results do not depend on this")
+                        help="processes for the sweep, at most one per (quadrant, k) cell "
+                             "and per CPU; each holds one quadrant's 8*n*n-byte distance "
+                             "matrix at a time and up to 2 MB of k-means scratch; results "
+                             "do not depend on this")
 
 
 def build_parser() -> argparse.ArgumentParser:

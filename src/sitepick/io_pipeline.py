@@ -273,15 +273,15 @@ def parse_responses(
             cells += [None] * (width - len(cells))
         reported = len(diagnostics)
 
-        participant = cells[participant_at]
-        if participant is None:
+        participant = (cells[participant_at] or "").strip()
+        if not participant:
             diagnostics.append(RowDiagnostic(row, actual["participant_id"], _MISSING))
         raw = cells[quadrant_at]
         quadrant = quadrant_memo.get(raw) or _remember(quadrant_memo, Quadrant.from_token, raw)
         if type(quadrant) is str:
             diagnostics.append(RowDiagnostic(row, actual["quadrant"], quadrant))
-        region = cells[region_at]
-        if region is None:
+        region = (cells[region_at] or "").strip()
+        if not region:
             diagnostics.append(RowDiagnostic(row, actual["region"], _MISSING))
         lat = _number(cells[lat_at])
         if type(lat) is str:
@@ -317,9 +317,9 @@ def parse_responses(
         if len(diagnostics) > reported:
             continue
         result.rows.append(row)
-        result.participant_ids.append(participant.strip())
+        result.participant_ids.append(participant)
         result.quadrants.append(quadrant)
-        result.regions.append(region.strip())
+        result.regions.append(region)
         result.lat_deg.append(lat)
         result.lon_deg.append(lon)
         result.categories.append(category)

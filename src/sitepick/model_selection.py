@@ -8,20 +8,26 @@ scores highest overall. Each k's winner is one KBest, built where the run
 was scored, and SweepResult.per_k holds them keyed by the candidate ks.
 Seeds for each (k, run) cell are derived independently from the base seed,
 so results do not depend on execution order and the sweep can fan out
-across processes: at most one per k and per CPU this process may run on.
+across processes. `sweep_quadrants` sweeps several quadrants through one
+pool: a (quadrant, k) cell is one k's runs of one quadrant, and the pool has
+at most one process per cell and per CPU this process may run on.
 
-Memory model: every (k, run) cell reads the same pairwise distance matrix
-(for k-means++ seeding, empty-cluster repair and Dunn scoring), so it is
-built once per quadrant per process and reused for every k and run. That
-is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at n = 1500 and 0.8 GB
-at n = 10 000. With workers > 1 each pool worker builds its own copy in the
-pool initializer and the parent builds none, so the figure holds per
-worker. The matrix is filled in row blocks, so building it takes only
-O(block * n) scratch beyond the matrix itself. Next to it each process
-keeps the matrix's minimum spanning tree, n - 1 edges of 24 bytes, from
-which Dunn scoring reads every run's closest inter-cluster pair. Scoring
-one run then needs O(n) scratch, plus one cluster's s x s block of the
-matrix at a time while its diameter is read.
+Memory model: every (k, run) cell of a quadrant reads the same pairwise
+distance matrix (for k-means++ seeding, empty-cluster repair and Dunn
+scoring), so a process builds it once per quadrant and reuses it for every
+k and run. That is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at
+n = 1500 and 0.8 GB at n = 10 000. Cells are handed out quadrant by
+quadrant, and a process drops one quadrant's matrix before it builds the
+next, so it holds at most one at a time: at worst the largest quadrant's.
+With workers > 1 each pool worker builds a quadrant's matrix on its first
+cell of that quadrant and the parent builds none, so the figure holds per
+worker; serially the parent builds each in turn. The matrix is filled in
+row blocks, so building it takes only O(block * n) scratch beyond the
+matrix itself. Next to it each process keeps the matrix's minimum spanning
+tree, n - 1 edges of 24 bytes, from which Dunn scoring reads every run's
+closest inter-cluster pair. Scoring one run then needs O(n) scratch, plus
+one cluster's s x s block of the matrix at a time while its diameter is
+read.
 
 Within a k, runs are scored in run order against the best so far, and a
 run whose exact upper bound on the Dunn index cannot beat it is dropped
@@ -42,7 +48,6 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,7 +61,7 @@ from .clustering import (
     _kmeans_batch,
     DEFAULT_MAX_ITERATIONS,
 )
-from .errors import DegenerateClusteringError, SweepError, ValidationError
+from .errors import DegenerateClusteringError, SitepickError, SweepError, ValidationError
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
@@ -242,30 +247,137 @@ def _best_for_k(
     return best
 
 
-# Distance matrix and its spanning tree of the quadrant a pool worker is
-# sweeping. They are set only inside pool workers, by the pool initializer,
-# and go away when the pool shuts its workers down; the parent process never
-# sets them.
-_WORKER_DIST: Optional[np.ndarray] = None
-_WORKER_TREE: Optional[_Tree] = None
+# The quadrant whose cell this process ran last: its index in the
+# `sweep_quadrants` call, its distance matrix and their spanning tree. A pool
+# worker keeps it from one cell to the next; the calling process clears it
+# when the call ends.
+_QUADRANT: Optional[tuple[int, np.ndarray, _Tree]] = None
 
 
-def _init_worker(coords: np.ndarray, metric: DistanceMetric) -> None:
-    global _WORKER_DIST, _WORKER_TREE
-    _WORKER_DIST = _distance_matrix(coords, metric)
-    _WORKER_TREE = _spanning_tree(_WORKER_DIST)
+def _sweep_cell(
+    quadrant: int,
+    coords: np.ndarray,
+    weights: np.ndarray,
+    runs_per_k: int,
+    base_seed: int,
+    metric: DistanceMetric,
+    max_iterations: int,
+    k: int,
+) -> Optional[KBest]:
+    """_best_for_k of one (quadrant, k) cell. The quadrant's matrix and tree
+    are built on this process's first cell of it, after the previous
+    quadrant's are dropped, so a process holds one matrix at a time."""
+    global _QUADRANT
+    if _QUADRANT is None or _QUADRANT[0] != quadrant:
+        _QUADRANT = None
+        dist = _distance_matrix(coords, metric)
+        _QUADRANT = (quadrant, dist, _spanning_tree(dist))
+    _, dist, tree = _QUADRANT
+    return _best_for_k(
+        dist, tree, coords, weights, runs_per_k, base_seed, metric, max_iterations, k
+    )
 
 
-def _best_for_k_in_worker(*args) -> Optional[KBest]:
-    """_best_for_k over the matrix and tree this pool worker built in _init_worker."""
-    assert _WORKER_DIST is not None, "pool worker started without _init_worker"
-    return _best_for_k(_WORKER_DIST, _WORKER_TREE, *args)
+def _attempt(call, *args):
+    """call(*args), or the SitepickError it raised."""
+    try:
+        return call(*args)
+    except SitepickError as exc:
+        return exc
+
+
+def _checked_quadrant(
+    coords: np.ndarray,
+    weights: "list[float] | np.ndarray",
+    k_range: Iterable[int] | None,
+    runs_per_k: int,
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
+    """coords, float64 weights and the ascending candidate ks of one quadrant."""
+    w = _checked_weights(coords, weights)
+    n = len(coords)
+    if runs_per_k < 1:
+        raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
+    if k_range is None:
+        ks: Sequence[int] = range(2, default_k_max(n) + 1)
+    else:
+        ks = sorted(set(int(k) for k in k_range))
+    if len(ks) == 0:
+        raise ValidationError("no candidate k values to sweep")
+    if ks[0] < 2 or ks[-1] > n:
+        raise ValidationError(f"candidate k values must lie in [2, {n}], got {list(ks)}")
+    return coords, w, ks
+
+
+def _sweep_result(per_k: "dict[int, Optional[KBest] | SitepickError]") -> SweepResult:
+    """One quadrant's SweepResult from its cells in ascending k. Raises the
+    error of the smallest k whose cell failed, or SweepError when every run
+    at every k was degenerate."""
+    for best in per_k.values():
+        if isinstance(best, SitepickError):
+            raise best
+    scored = [k for k, best in per_k.items() if best is not None]
+    if not scored:
+        raise SweepError(
+            "every run at every candidate k was degenerate (all clusters were "
+            "coincident-point singletons); lower k relative to the number of "
+            "distinct points"
+        )
+    # max keeps the first of equal scores, so ties go to the smallest k.
+    return SweepResult(per_k, max(scored, key=lambda k: per_k[k].dunn.value))
 
 
 def _pool_size(workers: int, cells: int, cpus: int) -> int:
-    """Processes worth starting: no more than requested, than there are k
-    values to hand out, or than there are CPUs; at least one."""
+    """Processes worth starting: no more than requested, than there are
+    (quadrant, k) cells to hand out, or than there are CPUs; at least one."""
     return max(1, min(workers, cells, cpus))
+
+
+def sweep_quadrants(
+    quadrants: "Sequence[tuple[np.ndarray, list[float] | np.ndarray, Iterable[int] | None]]",
+    runs_per_k: int = DEFAULT_RUNS_PER_K,
+    base_seed: int = 0,
+    metric: DistanceMetric = HaversineMetric(),
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    workers: int = 1,
+) -> "list[SweepResult | SitepickError]":
+    """`sweep` of each (coords, weights, k_range) in `quadrants`, with the
+    settings shared, through at most one process pool for all their
+    (quadrant, k) cells.
+
+    Returns one outcome per quadrant, in order: its SweepResult, or the
+    SitepickError its sweep raised, which leaves the other quadrants' outcomes
+    as they would be alone.
+    """
+    global _QUADRANT
+    checked = [_attempt(_checked_quadrant, *quadrant, runs_per_k) for quadrant in quadrants]
+    # Quadrant by quadrant, so a process moves through the matrices in order,
+    # and largest k first, so the longest cells do not start last.
+    settings = (runs_per_k, base_seed, metric, max_iterations)
+    cells = []
+    for i, quadrant in enumerate(checked):
+        if not isinstance(quadrant, SitepickError):
+            coords, w, ks = quadrant
+            cells += [(i, coords, w, *settings, k) for k in reversed(ks)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    size = _pool_size(workers, len(cells), cpus or 1)
+    try:
+        if size > 1:
+            # Workers build the matrices themselves: building them here and
+            # shipping them would leave copies and their freed temporaries in
+            # the parent.
+            with ProcessPoolExecutor(max_workers=size) as pool:
+                futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
+            bests = [_attempt(future.result) for future in futures]
+        else:
+            bests = [_attempt(_sweep_cell, *cell) for cell in cells]
+    finally:
+        _QUADRANT = None
+    by_cell = {(cell[0], cell[-1]): best for cell, best in zip(cells, bests)}
+    return [
+        quadrant if isinstance(quadrant, SitepickError)
+        else _attempt(_sweep_result, {k: by_cell[i, k] for k in quadrant[2]})
+        for i, quadrant in enumerate(checked)
+    ]
 
 
 def sweep(
@@ -288,41 +400,9 @@ def sweep(
     are dropped; a k where every run degenerates maps to None; if that
     happens for all k the sweep raises SweepError.
     """
-    w = _checked_weights(coords, weights)
-    n = len(coords)
-    if runs_per_k < 1:
-        raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
-    if k_range is None:
-        ks: Sequence[int] = range(2, default_k_max(n) + 1)
-    else:
-        ks = sorted(set(int(k) for k in k_range))
-    if len(ks) == 0:
-        raise ValidationError("no candidate k values to sweep")
-    if ks[0] < 2 or ks[-1] > n:
-        raise ValidationError(f"candidate k values must lie in [2, {n}], got {list(ks)}")
-
-    args = (coords, w, runs_per_k, base_seed, metric, max_iterations)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(workers, len(ks), cpus or 1)
-    if size > 1:
-        # Workers build the matrix themselves: building it here and shipping
-        # it would leave a copy and its freed temporaries in the parent.
-        with ProcessPoolExecutor(
-            max_workers=size, initializer=_init_worker, initargs=(coords, metric)
-        ) as pool:
-            bests = list(pool.map(partial(_best_for_k_in_worker, *args), ks))
-    else:
-        dist = _distance_matrix(coords, metric)
-        tree = _spanning_tree(dist)
-        bests = [_best_for_k(dist, tree, *args, k) for k in ks]
-
-    per_k = dict(zip(ks, bests))
-    scored = [k for k, best in per_k.items() if best is not None]
-    if not scored:
-        raise SweepError(
-            "every run at every candidate k was degenerate (all clusters were "
-            "coincident-point singletons); lower k relative to the number of "
-            "distinct points"
-        )
-    # max keeps the first of equal scores, so ties go to the smallest k.
-    return SweepResult(per_k, max(scored, key=lambda k: per_k[k].dunn.value))
+    (outcome,) = sweep_quadrants(
+        [(coords, weights, k_range)], runs_per_k, base_seed, metric, max_iterations, workers
+    )
+    if isinstance(outcome, SitepickError):
+        raise outcome
+    return outcome

@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import os
 import pathlib
 import warnings
 
@@ -10,6 +11,7 @@ import pytest
 
 import sitepick.cli
 import sitepick.io_pipeline
+import sitepick.model_selection
 from sitepick.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from sitepick.errors import ConfigError, EmptyClusterError
 from sitepick.io_pipeline import parse_responses
@@ -465,6 +467,78 @@ def test_sweep_worker_count_does_not_change_artifacts(tmp_path):
     assert names == sorted(p.name for p in parallel.iterdir())
     for name in names:
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """The max_workers of every process pool the sweep starts, with two CPUs
+    allowed so that --workers 2 may start one."""
+    started = []
+
+    class CountedPool(sitepick.model_selection.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", CountedPool)
+    return started
+
+
+def test_sweep_of_four_quadrants_starts_one_pool(tmp_path, counted_pools):
+    synth_csv = tmp_path / "four.csv"
+    main(["synth", "-o", str(synth_csv), "--blobs", "2", "--per-blob", "5", "--seed", "8"])
+    out = tmp_path / "out"
+    assert main(["sweep", str(synth_csv), "-o", str(out), "--runs-per-k", "3",
+                 "--workers", "2"]) == 0
+    assert counted_pools == [2]
+    assert list(json.loads((out / "manifest.json").read_text())["quadrants"]) == list("ABCD")
+
+
+def test_cluster_over_two_quadrants_gets_a_pool(tmp_path, counted_pools):
+    synth_csv = tmp_path / "two.csv"
+    main(["synth", "-o", str(synth_csv), "--blobs", "3", "--per-blob", "5",
+          "--quadrant", "A", "--quadrant", "B", "--seed", "6"])
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    argv = ["cluster", str(synth_csv), "--k", "3", "--runs-per-k", "6"]
+    assert main(argv + ["-o", str(serial), "--workers", "1"]) == 0
+    assert counted_pools == []
+    assert main(argv + ["-o", str(parallel), "--workers", "2"]) == 0
+    assert counted_pools == [2]
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir())
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+
+
+def coincident(letter):
+    """Five coincident points of one quadrant: every run there is degenerate."""
+    return [f"{letter}{i},{letter},CBD,1.3,103.8,1 to 3,5" for i in range(5)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # Both quadrants' sweeps fail; B's rows come first in the file.
+        pytest.param(coincident("B") + coincident("A"), id="both-sweeps"),
+        # A's sweep fails; B's k range (3 points) fails before any sweep.
+        pytest.param(
+            coincident("A") + [row.replace(",A,", ",B,") for row in TWO_REGION_ROWS[:3]],
+            id="sweep-then-k-range",
+        ),
+    ],
+)
+def test_first_failing_quadrant_decides_the_error(tmp_path, capsys, rows, workers):
+    survey = write_survey(tmp_path, rows)
+    out = tmp_path / "out"
+    assert main(["sweep", str(survey), "-o", str(out), "--runs-per-k", "3",
+                 "--workers", workers]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: every run at every candidate k was degenerate")
+    assert captured.err.endswith(" (quadrant A)\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_quadrant_filter(tmp_path):

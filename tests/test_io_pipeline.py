@@ -153,6 +153,24 @@ def test_parse_short_row_reports_every_missing_cell():
     }
 
 
+def test_parse_empty_or_blank_id_and_region_are_missing_values():
+    result = parse("\n".join([
+        HEADER,
+        ",A,,1.3,103.8,1 to 3,5",
+        "p2,A,  ,1.31,103.81,1 to 3,5",
+        " \t ,A,CBD,1.32,103.82,1 to 3,5",
+        " p4 ,A, East ,1.33,103.83,1 to 3,5",
+    ]))
+    assert [(d.row, d.column, d.message) for d in result.diagnostics] == [
+        (2, "participant_id", "missing value"),
+        (2, "region", "missing value"),
+        (3, "region", "missing value"),
+        (4, "participant_id", "missing value"),
+    ]
+    assert result.total_rows == 4
+    assert (result.rows, result.participant_ids, result.regions) == ([5], ["p4"], ["East"])
+
+
 def test_parse_blank_rows_are_not_counted_but_keep_numbering():
     rows = HEADER + "\np1,A,CBD,1.0,103.0,1 to 3,5\n,,,\np2,A,CBD,1.1,103.1,1 to 3,5\n"
     result = parse(rows)

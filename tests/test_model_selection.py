@@ -9,6 +9,7 @@ the vectorized implementation under test.
 import dataclasses
 import math
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sitepick.model_selection import (
     default_k_max,
     dunn_index,
     sweep,
+    sweep_quadrants,
 )
 from sitepick.rng import derive_seed
 
@@ -331,9 +333,8 @@ def test_sweep_pool_fits_the_cpus_this_process_may_run_on(monkeypatch, affinity,
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -341,17 +342,125 @@ def test_sweep_pool_fits_the_cpus_this_process_may_run_on(monkeypatch, affinity,
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, function, items):
-            return map(function, items)
+        def submit(self, function, *args):
+            future = Future()
+            future.set_result(function(*args))
+            return future
 
     monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(sitepick.model_selection, "_WORKER_DIST", None)
+    monkeypatch.setattr(sitepick.model_selection, "_QUADRANT", None)
     coords = coords_array(FOUR_PAIR_POINTS)
     result = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2, workers=2)
     assert started == pools
     serial = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2)
     assert result.optimal_k == serial.optimal_k
     assert np.array_equal(result.best.labels, serial.best.labels)
+
+
+def _scattered_quadrants(sizes, seed=31):
+    """One (coords, weights) pair of scattered points per size."""
+    rng = np.random.default_rng(seed)
+    quadrants = []
+    for n in sizes:
+        lat, lon = rng.uniform(1.2, 1.5, n), rng.uniform(103.6, 104.0, n)
+        points = coords_array([from_degrees(a, b) for a, b in zip(lat, lon)])
+        quadrants.append((points, rng.uniform(0.5, 1.0, n)))
+    return quadrants
+
+
+def test_one_pool_runs_every_cell_and_each_worker_builds_each_matrix_once(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sitepick.model_selection, "_QUADRANT", None)
+    pools, submitted, builds = [], [], []
+    running = [None]  # the emulated worker running a cell, None outside one
+
+    class WorkersInProcess:
+        """Runs each submitted cell at once in this process, on `max_workers`
+        emulated workers in turn, each keeping its own last quadrant."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            self.kept = [None] * max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, function, *args):
+            worker = len(submitted) % len(self.kept)
+            submitted.append((args[0], args[-1]))
+            sitepick.model_selection._QUADRANT, running[0] = self.kept[worker], worker
+            future = Future()
+            future.set_result(function(*args))
+            self.kept[worker], running[0] = sitepick.model_selection._QUADRANT, None
+            return future
+
+    def counted_matrix(coords, metric):
+        builds.append((running[0], len(coords)))
+        return _distance_matrix(coords, metric)
+
+    quadrants = _scattered_quadrants([9, 10, 11])
+    alone = [sweep(coords, weights, k_range=range(2, 5), runs_per_k=3) for coords, weights in quadrants]
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", WorkersInProcess)
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
+    outcomes = sweep_quadrants(
+        [(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=3, workers=2
+    )
+    assert pools == [2]
+    # Quadrant by quadrant, largest k first.
+    assert submitted == [(q, k) for q in range(3) for k in (4, 3, 2)]
+    # Each emulated worker built each quadrant's matrix once; the parent none.
+    assert sorted(builds) == [(worker, n) for worker in (0, 1) for n in (9, 10, 11)]
+    assert sitepick.model_selection._QUADRANT is None
+    for outcome, expected in zip(outcomes, alone):
+        assert outcome.optimal_k == expected.optimal_k
+        for k, best in outcome.per_k.items():
+            assert best.dunn == expected.per_k[k].dunn
+            assert np.array_equal(best.labels, expected.per_k[k].labels)
+
+
+def test_serial_sweep_builds_each_quadrant_matrix_once_and_keeps_none(monkeypatch):
+    builds = []
+
+    def counted_matrix(coords, metric):
+        builds.append(len(coords))
+        return _distance_matrix(coords, metric)
+
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
+    quadrants = _scattered_quadrants([9, 10, 11])
+    sweep_quadrants([(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=2)
+    assert builds == [9, 10, 11]
+    assert sitepick.model_selection._QUADRANT is None
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_quadrant_leaves_the_others_as_alone(monkeypatch, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (first, first_w), (last, last_w) = _scattered_quadrants([9, 12])
+    coincident = coords_array([from_degrees(1.3, 103.8)] * 5)
+    outcomes = sweep_quadrants(
+        [
+            (first, first_w, [2, 3]),
+            (coincident, [1.0] * 5, [2]),
+            (last, last_w, [2, 20]),
+            (last, last_w, None),
+        ],
+        runs_per_k=4,
+        base_seed=5,
+        workers=workers,
+    )
+    assert isinstance(outcomes[1], SweepError)
+    assert isinstance(outcomes[2], ValidationError)
+    for (coords, weights, k_range), outcome in [
+        ((first, first_w, [2, 3]), outcomes[0]),
+        ((last, last_w, None), outcomes[3]),
+    ]:
+        alone = sweep(coords, weights, k_range=k_range, runs_per_k=4, base_seed=5)
+        assert outcome.optimal_k == alone.optimal_k
+        assert np.array_equal(outcome.best.labels, alone.best.labels)
+        assert outcome.best.dunn == alone.best.dunn
 
 
 # --- candidate range ---
