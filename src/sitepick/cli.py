@@ -38,7 +38,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .geo import EarthModel
+from .geo import EARTH_RADIUS_RANGE_KM, EarthModel
 from .io_pipeline import (
     ParseResult,
     Quadrant,
@@ -88,8 +88,11 @@ class RunConfig:
             raise ConfigError(f"runs_per_k must be >= 1, got {self.runs_per_k}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.earth_radius_km > 0:
-            raise ConfigError(f"earth_radius_km must be positive, got {self.earth_radius_km}")
+        low, high = EARTH_RADIUS_RANGE_KM
+        if not low <= self.earth_radius_km <= high:
+            raise ConfigError(
+                f"earth_radius_km must lie in [{low:g}, {high:g}], got {self.earth_radius_km}"
+            )
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if len(set(self.quadrants)) != len(self.quadrants):
@@ -399,7 +402,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=int,
                         help=f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})")
     parser.add_argument("--earth-radius-km", type=float,
-                        help="sphere radius for distances (default 6371)")
+                        help="sphere radius for distances, within [%g, %g] (default 6371)"
+                        % EARTH_RADIUS_RANGE_KM)
     parser.add_argument("--region-order", type=_parse_list,
                         help="comma-separated region ordering for site tables")
     parser.add_argument("--workers", type=int,

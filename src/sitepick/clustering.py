@@ -29,6 +29,7 @@ partition is one label per point in [0, k).
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable
@@ -53,6 +54,11 @@ _MATRIX_BLOCK_ROWS = 256
 _BATCH_ELEMENTS = 2**18
 
 
+# Relative slack of the triangle inequality between computed distances; see
+# DistanceMetric.triangle_slack and HaversineMetric.triangle_slack.
+TRIANGLE_FACTOR = 1.0 + 1e-6
+
+
 # Absolute margin on unit-vector dot products within which two centers count
 # as tied for nearest; HaversineMetric.assigner derives why it is safe.
 _DOT_TIE_MARGIN = 1e-13
@@ -69,7 +75,19 @@ def _unit_vectors(coords: np.ndarray) -> np.ndarray:
 class DistanceMetric(ABC):
     """Symmetric, non-negative distance between points given as radians: the
     `pairwise` matrix, and an `assigner` for nearest-center labels, which
-    defaults to the `pairwise` argmin; an override must give the same labels."""
+    defaults to the `pairwise` argmin; an override must give the same labels.
+
+    Dunn scoring skips the matrix entries the triangle inequality rules out,
+    and trusts it for computed entries only as far as `triangle_slack` says.
+    """
+
+    @property
+    def triangle_slack(self) -> float:
+        """Absolute slack A such that computed `pairwise` entries satisfy
+        d(i, j) <= (d(a, i) + d(a, j)) * TRIANGLE_FACTOR + A for any points
+        a, i and j. Infinite, which promises nothing, unless a metric
+        derives a bound."""
+        return math.inf
 
     @abstractmethod
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -89,6 +107,44 @@ class HaversineMetric(DistanceMetric):
     """Great-circle distance in km on a spherical Earth (the default metric)."""
 
     earth: EarthModel = EARTH
+
+    @property
+    def triangle_slack(self) -> float:
+        """1e-12 * radius: computed great-circle distances keep the triangle
+        inequality to within TRIANGLE_FACTOR and that.
+
+        Write d~ = d (1 + rho) + alpha for a computed entry and its exact
+        value d, u = 2**-53 and R the radius. `haversine_km` takes
+        psi = atan2(sqrt(h), sqrt(1 - h)), d = 2 R psi, with
+        h = sin^2(dlat/2) + cos cos sin^2(dlon/2):
+
+        - Latitudes lie in [-pi/2, pi/2], so dlat is exact or off by a
+          relative u, and sin(dlat/2) by a few u. Each term of h is a product
+          of non-negative factors, so h carries a relative error of a few u.
+        - Longitudes near +pi and -pi make dlon near 2 pi for two close
+          points: its rounding, up to 2 pi u, is absolute. It moves sqrt(h)
+          by at most pi u, and psi by at most sqrt(2) pi u while 1 - h >= 1/2.
+          Up to 90 degrees, then, |alpha| <= 2 sqrt(2) pi u R ~ 1e-15 R, and
+          rho is a few u. Three points 1e-15 R apart across the antimeridian
+          break the plain triangle inequality by 78%, so no relative slack
+          alone would do.
+        - Beyond 90 degrees 1 - h cancels: an absolute error of about 10 u
+          in h moves sqrt(1 - h) by up to sqrt(10 u) ~ 3.3e-8, and psi by up
+          to sqrt(2) times that. Against psi >= pi/4 that is a relative
+          rho <= 6e-8. Near antipodes the measured excess stays below 1e-8.
+        - Values below 2**-1022 lose relative precision; that adds at most
+          sqrt(2**-1074) ~ 2e-162 to sqrt(h), well inside alpha.
+
+        The exact distances obey the triangle inequality, so with
+        |rho| <= 1e-7 and |alpha| <= 1e-15 R:
+        d~(i, j) <= (1 + rho) (d(a, i) + d(a, j)) + alpha
+                 <= (1 + 3 rho) (d~(a, i) + d~(a, j)) + 4 alpha.
+        TRIANGLE_FACTOR covers 3 rho and the rounding of the comparisons
+        that apply it three times over, and 1e-12 R covers 4 alpha 250
+        times over. A distance of a few 1e-12 R is below a micrometre on the
+        Earth, so the slack costs no pruning on any survey.
+        """
+        return 1e-12 * self.earth.radius_km
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return haversine_km(
@@ -170,6 +226,16 @@ class HaversineMetric(DistanceMetric):
 class PlanarMetric(DistanceMetric):
     """Euclidean distance treating (lat, lon) as a plane; oracle/testing metric."""
 
+    @property
+    def triangle_slack(self) -> float:
+        """1e-150. A difference, square, sum and square root are each off by
+        a relative u = 2**-53 at most, so computed entries keep the triangle
+        inequality to within a relative few u, far inside TRIANGLE_FACTOR,
+        except where squares fall below 2**-1022 and lose relative
+        precision: that moves an entry by at most sqrt(3 * 2**-1074), about
+        4e-162."""
+        return 1e-150
+
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         diff = a[:, None, :] - b[None, :, :]
         return np.sqrt((diff * diff).sum(axis=2))
@@ -177,13 +243,17 @@ class PlanarMetric(DistanceMetric):
 
 def _distance_matrix(coords: np.ndarray, metric: DistanceMetric) -> np.ndarray:
     """Full (n, n) float64 metric matrix of an (n, 2) radian array, filled in
-    row blocks. Each entry is the same expression a single broadcast call
-    evaluates, so the values are identical; only the scratch is smaller."""
+    row blocks. A block computes its rows from its own first column on, and
+    its transpose fills the rows below, so each pair is evaluated once. Each
+    entry is the same expression a single broadcast call evaluates, which is
+    bitwise symmetric, so the values are identical; only the scratch and the
+    work are smaller."""
     n = coords.shape[0]
     dist = np.empty((n, n), dtype=np.float64)
     for start in range(0, n, _MATRIX_BLOCK_ROWS):
         stop = start + _MATRIX_BLOCK_ROWS
-        dist[start:stop] = metric.pairwise(coords[start:stop], coords)
+        dist[start:stop, start:] = metric.pairwise(coords[start:stop], coords[start:])
+        dist[stop:, start:stop] = dist[start:stop, stop:].T
     return dist
 
 

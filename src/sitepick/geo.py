@@ -22,15 +22,28 @@ class GeoPoint:
     lon: float
 
 
+# Smallest and largest sphere radius accepted, in km. Distances are at most
+# pi * radius, so their squares stay below 1e201 and k-means++ can sum them
+# over any survey (fewer than 1e107 points) without overflow. At the smallest
+# radius a distance of angle theta squares to 1e-200 * theta**2, a normal
+# float for any two points at least 1e-53 rad apart. Far outside the range
+# the squares overflow to inf or underflow to subnormals and zero, and
+# seeding draws and Dunn scores change without any error.
+EARTH_RADIUS_RANGE_KM = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class EarthModel:
-    """Spherical Earth with a positive radius in kilometres."""
+    """Spherical Earth with a radius in kilometres within EARTH_RADIUS_RANGE_KM."""
 
     radius_km: float = 6371.0
 
     def __post_init__(self) -> None:
-        if not (self.radius_km > 0):
-            raise ValidationError(f"earth radius must be positive, got {self.radius_km}")
+        low, high = EARTH_RADIUS_RANGE_KM
+        if not low <= self.radius_km <= high:
+            raise ValidationError(
+                f"earth radius must lie in [{low:g}, {high:g}] km, got {self.radius_km}"
+            )
 
 
 EARTH = EarthModel()

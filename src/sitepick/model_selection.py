@@ -22,12 +22,15 @@ next, so it holds at most one at a time: at worst the largest quadrant's.
 With workers > 1 each pool worker builds a quadrant's matrix on its first
 cell of that quadrant and the parent builds none, so the figure holds per
 worker; serially the parent builds each in turn. The matrix is filled in
-row blocks, so building it takes only O(block * n) scratch beyond the
+row blocks, each pair computed once for the upper triangle and copied to
+the lower, so building it takes only O(block * n) scratch beyond the
 matrix itself. Next to it each process keeps the matrix's minimum spanning
 tree, n - 1 edges of 24 bytes, from which Dunn scoring reads every run's
-closest inter-cluster pair. Scoring one run then needs O(n) scratch, plus
-one cluster's s x s block of the matrix at a time while its diameter is
-read.
+closest inter-cluster pair. Scoring one run then needs O(n) scratch, plus,
+for each cluster whose diameter the triangle inequality cannot bound below
+the largest found so far, one row of s entries and the block of the
+members that can still be in a wider pair: at most s x s, and usually far
+less.
 
 Within a k, runs are scored in run order against the best so far, and a
 run whose exact upper bound on the Dunn index cannot beat it is dropped
@@ -55,6 +58,7 @@ import numpy as np
 from .clustering import (
     DistanceMetric,
     HaversineMetric,
+    TRIANGLE_FACTOR,
     _checked_labels,
     _checked_weights,
     _distance_matrix,
@@ -134,7 +138,7 @@ def dunn_index(
     if np.unique(labels).size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
     dist = _distance_matrix(coords, metric)
-    score = _dunn_from_matrix(dist, _spanning_tree(dist), labels)
+    score = _dunn_from_matrix(dist, _spanning_tree(dist), labels, slack=metric.triangle_slack)
     if score is None:
         raise DegenerateClusteringError(
             "every cluster has zero diameter; the Dunn ratio is undefined"
@@ -178,38 +182,57 @@ def _dunn_from_matrix(
     tree: _Tree,
     labels: np.ndarray,
     to_beat: float = -math.inf,
+    slack: float = math.inf,
 ) -> DunnScore | None:
     """Dunn score of `labels` over a bitwise symmetric distance matrix with a
     zero diagonal and its `_spanning_tree`, or None when the score cannot
     exceed `to_beat` or the largest cluster diameter is zero (all-singleton/
-    coincident case). Needs two non-empty clusters.
+    coincident case). Needs two non-empty clusters. `slack` is the metric's
+    `triangle_slack`; the infinite default reads every intra-cluster entry.
 
     The closest inter-cluster pair is the lightest tree edge whose ends carry
     different labels: the same matrix entry a search of all pairs finds.
-    Before any diameter is read, the largest distance from a point to its
-    cluster's lowest-index member, itself an intra-cluster entry, bounds the
-    largest diameter from below. IEEE division is monotone, so min_inter /
-    that bound bounds the score from above bit for bit, and a run whose bound
-    is at most `to_beat` is dropped unscored. A zero bound proves nothing (the
-    run may be degenerate), so such a run is scored in full. Then each
-    cluster's diameter is the max of its own s x s block, one cluster at a
-    time. Min and max are exact, so the result does not depend on the order
-    edges or clusters are visited in.
+    Before any diameter is read, each point's reach, its distance from its
+    cluster's anchor (the lowest-index member), is itself an intra-cluster
+    entry, so the largest reach bounds the largest diameter from below. IEEE
+    division is monotone, so min_inter / that bound bounds the score from
+    above bit for bit, and a run whose bound is at most `to_beat` is dropped
+    unscored. A zero bound proves nothing (the run may be degenerate), so
+    such a run is scored in full.
+
+    Then the largest diameter M, starting at that bound, is raised only by
+    entries the triangle inequality cannot rule out. With S =
+    TRIANGLE_FACTOR and A = `slack`, computed entries satisfy d(i, j) <=
+    (reach_i + reach_j) * S + A (see `DistanceMetric.triangle_slack`), so in
+    a cluster of radius r, its largest reach, no pair exceeds 2 r S + A.
+    Clusters are visited by radius, descending, and once 2 r S + A < M no
+    cluster left can raise M. Otherwise the row of the member farthest from
+    the anchor raises M, the cluster is done if 2 r S + A < M now holds, and
+    else only members with (reach + r) S + A >= M can be in a pair above M:
+    the max of their block finishes the cluster. Min and max are exact, so
+    the result is the all-pairs one whatever order edges, clusters and
+    members are visited in.
     """
     a, b, w = tree
     min_inter_km = float(w[labels[a] != labels[b]].min())
     # A stable sort puts each cluster's members in index order, its lowest first.
     order = np.argsort(labels, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
-    anchors = np.repeat(order[bounds[:-1]], np.diff(bounds))
-    lower = float(dist[anchors, order].max())
-    if lower > 0.0 and min_inter_km / lower <= to_beat:
+    reach = dist[np.repeat(order[bounds[:-1]], np.diff(bounds)), order]
+    radii = np.maximum.reduceat(reach, bounds[:-1])
+    max_intra_km = float(radii.max())
+    if max_intra_km > 0.0 and min_inter_km / max_intra_km <= to_beat:
         return None
-    max_intra_km = 0.0
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start > 1:
-            members = order[start:stop]
-            max_intra_km = max(max_intra_km, float(dist[np.ix_(members, members)].max()))
+    for c in np.argsort(-radii, kind="stable").tolist():
+        r = float(radii[c])
+        widest = 2.0 * r * TRIANGLE_FACTOR + slack  # no pair of the cluster is farther
+        if widest < max_intra_km:
+            break
+        members, near = order[bounds[c] : bounds[c + 1]], reach[bounds[c] : bounds[c + 1]]
+        max_intra_km = float(dist[members[near.argmax()], members].max(initial=max_intra_km))
+        if widest >= max_intra_km:
+            keep = members[(near + r) * TRIANGLE_FACTOR + slack >= max_intra_km]
+            max_intra_km = float(dist[keep[:, None], keep].max(initial=max_intra_km))
     if max_intra_km == 0.0:
         return None
     score = DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
@@ -241,7 +264,7 @@ def _best_for_k(
     best: Optional[KBest] = None
     for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
         to_beat = -math.inf if best is None else best.dunn.value
-        score = _dunn_from_matrix(dist, tree, labels, to_beat)
+        score = _dunn_from_matrix(dist, tree, labels, to_beat, metric.triangle_slack)
         if score is not None:
             best = KBest(run, seed, centers, labels, iterations, converged, score)
     return best

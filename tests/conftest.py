@@ -3,6 +3,9 @@ import re
 from hypothesis import settings
 
 settings.register_profile("default", deadline=None)
+# CI runs `pytest --hypothesis-profile=ci`: the same examples on every run,
+# and a failure prints the blob that replays it with @reproduce_failure.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 settings.load_profile("default")
 
 # Acceptance tests are named test_criterion_<n>_*; collect their outcomes and

@@ -434,6 +434,36 @@ def test_cluster_across_antimeridian_converges_without_warnings(tmp_path, capsys
     assert "without converging" not in err
 
 
+def _dunn_curve_without_km(out_dir):
+    """dunn_curve_A.csv rows as (k, run, seed, dunn): the columns that do not
+    scale with the radius."""
+    lines = (out_dir / "dunn_curve_A.csv").read_text(encoding="utf-8").splitlines()
+    return [line.split(",")[:4] for line in lines]
+
+
+@pytest.mark.parametrize("radius, code", [
+    ("1e-100", 0), ("1e100", 0), ("9.99e-101", 2), ("1.01e100", 2), ("1e-160", 2), ("1e160", 2),
+])
+def test_earth_radius_is_checked_against_its_range(tmp_path, capsys, radius, code):
+    # At 1e160 km the squared distances of k-means++ overflow to inf and at
+    # 1e-160 km they underflow: either run used to exit 0 with other draws.
+    # Within the range the run and score columns are those of 6371 km.
+    survey = tmp_path / "s.csv"
+    assert main(["synth", "--blobs", "3", "--per-blob", "8", "--quadrant", "A", "--seed", "1",
+                 "-o", str(survey)]) == 0
+    argv = ["sweep", str(survey), "--runs-per-k", "5", "-o"]
+    assert main(argv + [str(tmp_path / "earth")]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [str(tmp_path / "out"), "--earth-radius-km", radius]) == code
+    if code:
+        assert "earth_radius_km must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert _dunn_curve_without_km(tmp_path / "out") == _dunn_curve_without_km(tmp_path / "earth")
+
+
 # --- sweep ---
 
 

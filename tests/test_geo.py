@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from sitepick.errors import ValidationError
 from sitepick.geo import (
     EARTH,
+    EARTH_RADIUS_RANGE_KM,
     EarthModel,
     GeoPoint,
     coords_array,
@@ -115,6 +116,14 @@ def test_earth_model_rejects_nonpositive_radius():
         EarthModel(radius_km=0.0)
     with pytest.raises(ValidationError):
         EarthModel(radius_km=-1.0)
+
+
+def test_earth_model_rejects_a_radius_outside_its_range():
+    low, high = EARTH_RADIUS_RANGE_KM
+    assert EarthModel(low).radius_km == low and EarthModel(high).radius_km == high
+    for radius in (low / 2, high * 2, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="earth radius must lie in"):
+            EarthModel(radius_km=radius)
 
 
 @given(latitudes, longitudes, latitudes, longitudes)

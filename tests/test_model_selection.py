@@ -220,6 +220,87 @@ def test_dunn_index_equals_condensed_reference_exactly(data):
     assert score.value == min_inter / max_intra
 
 
+def _blob_coords(rng, n, k):
+    """Points spread evenly over k discs of one radius from 1e-4 to 0.3 rad,
+    about a third of them ten times smaller, labelled by disc: clusters of
+    about equal diameter whose anchors sit anywhere in them, so the skip and
+    the filter both decide, and small clusters to skip."""
+    centers = np.column_stack([rng.uniform(-1.2, 1.2, k), rng.uniform(-np.pi, np.pi, k)])
+    spreads = 10.0 ** (rng.uniform(-4.0, -0.5) - (rng.random(k) < 0.3))
+    labels = np.arange(n) % k
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    offsets = np.column_stack([np.cos(angle), np.sin(angle)]) * np.sqrt(rng.random(n))[:, None]
+    coords = centers[labels] + offsets * spreads[labels, None]
+    coords[:, 0] = np.clip(coords[:, 0], -np.pi / 2, np.pi / 2)
+    coords[:, 1] = np.remainder(coords[:, 1] + np.pi, 2 * np.pi) - np.pi
+    return coords, labels
+
+
+def _great_circle_coords(rng, n, k):
+    """Points along a random great circle over an arc of about 180 degrees,
+    in k runs along it, so a run can hold near-antipodal members; one label
+    in five is random."""
+    e1 = rng.normal(size=3)
+    e1 /= np.linalg.norm(e1)
+    e2 = rng.normal(size=3)
+    e2 -= (e2 @ e1) * e1
+    e2 /= np.linalg.norm(e2)
+    t = np.sort(rng.uniform(0.0, np.pi * (1.0 + rng.uniform(-1e-7, 1e-7)), n))
+    t[[0, -1]] = 0.0, np.pi * (1.0 - 10.0 ** rng.uniform(-9.0, -5.0))
+    xyz = np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2
+    coords = np.column_stack([np.arcsin(np.clip(xyz[:, 2], -1.0, 1.0)),
+                              np.arctan2(xyz[:, 1], xyz[:, 0])])
+    labels = np.minimum((np.arange(n) * k) // n, k - 1)
+    labels[rng.random(n) < 0.2] = rng.integers(0, k)
+    labels[[0, -1]] = labels[0]
+    return coords, labels
+
+
+def _antimeridian_coords(rng, n, k):
+    """Points within 1e-15 rad of (0, 180 degrees) on both sides of the
+    antimeridian, where rounding breaks the triangle inequality of computed
+    great-circle distances by up to about 1e-15 R: a relative slack alone
+    gets about one case in six wrong."""
+    lon = np.pi - rng.integers(0, 2, n) * 2.0**-51
+    coords = np.column_stack([rng.integers(-16, 17, n) * 2.0**-55,
+                              np.where(rng.random(n) < 0.5, lon, -lon)])
+    return coords, rng.integers(0, k, n)
+
+
+@settings(max_examples=120)
+@given(
+    metric=st.sampled_from([HaversineMetric(), PlanarMetric()]),
+    shape=st.sampled_from([_blob_coords, _great_circle_coords, _antimeridian_coords]),
+    k=st.integers(min_value=2, max_value=12),
+    n=st.integers(min_value=12, max_value=200),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_pruned_diameters_equal_all_pairs(metric, shape, k, n, seed):
+    # Inputs where radii differ enough to skip whole clusters and to filter
+    # members, including whole-sphere arcs and clusters a few ulp wide.
+    coords, labels = shape(np.random.default_rng(seed), n, k)
+    labels[:2] = 0, 1
+    dist = metric.pairwise(coords, coords)
+    same = labels[:, None] == labels[None, :]
+    min_inter, max_intra = float(dist[~same].min()), float(dist[same].max())
+    if max_intra == 0.0:
+        with pytest.raises(DegenerateClusteringError):
+            dunn_index(coords, labels, metric=metric)
+        return
+    score = dunn_index(coords, labels, metric=metric)
+    assert score == DunnScore(min_inter / max_intra, min_inter, max_intra)
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+@pytest.mark.parametrize("n", [255, 256, 257, *range(511, 521)])
+def test_half_built_distance_matrix_is_the_broadcast_matrix(metric, n):
+    # Both sides of _MATRIX_BLOCK_ROWS = 256 and every residue mod 8: each
+    # block starts its columns at its own first row.
+    rng = np.random.default_rng(n)
+    coords = np.column_stack([rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n)])
+    assert np.array_equal(_distance_matrix(coords, metric), metric.pairwise(coords, coords))
+
+
 @pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
 def test_distance_matrix_is_the_broadcast_matrix_and_symmetric(metric):
     # More rows than one block, with a ragged last block, over the whole
