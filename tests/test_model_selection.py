@@ -238,21 +238,22 @@ def _blob_coords(rng, n, k):
 
 def _great_circle_coords(rng, n, k):
     """Points along a random great circle over an arc of about 180 degrees,
-    in k runs along it, so a run can hold near-antipodal members; one label
-    in five is random."""
+    in k runs along it with one point in five in a random cluster, and the
+    two ends, 1e-9 to 1e-5 of pi short of antipodal, both in cluster 0."""
     e1 = rng.normal(size=3)
     e1 /= np.linalg.norm(e1)
     e2 = rng.normal(size=3)
     e2 -= (e2 @ e1) * e1
     e2 /= np.linalg.norm(e2)
-    t = np.sort(rng.uniform(0.0, np.pi * (1.0 + rng.uniform(-1e-7, 1e-7)), n))
+    t = np.sort(rng.uniform(0.0, np.pi, n))
     t[[0, -1]] = 0.0, np.pi * (1.0 - 10.0 ** rng.uniform(-9.0, -5.0))
     xyz = np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2
     coords = np.column_stack([np.arcsin(np.clip(xyz[:, 2], -1.0, 1.0)),
                               np.arctan2(xyz[:, 1], xyz[:, 0])])
     labels = np.minimum((np.arange(n) * k) // n, k - 1)
-    labels[rng.random(n) < 0.2] = rng.integers(0, k)
-    labels[[0, -1]] = labels[0]
+    stray = rng.random(n) < 0.2
+    labels[stray] = rng.integers(0, k, stray.sum())
+    labels[[0, -1]] = 0
     return coords, labels
 
 
