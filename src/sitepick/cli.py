@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .clustering import DEFAULT_MAX_ITERATIONS, HaversineMetric
@@ -54,7 +55,9 @@ from .io_pipeline import (
     parse_responses,
     sha256_digest,
 )
-from .model_selection import DEFAULT_RUNS_PER_K, default_k_max, sweep_quadrants as sweep
+from .model_selection import (
+    DEFAULT_RUNS_PER_K, candidate_ks, default_k_max, sweep_quadrants as sweep
+)
 from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
 from .synth import WEIGHT_LAWS, SynthSpec, synthetic_csv
 from .weighting import FrequencyCategory, frequency_weight, reliability_auc, reliability_weight
@@ -250,12 +253,13 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _k_range(config: RunConfig, fixed_k: Optional[int], n: int) -> Sequence[int]:
-    """Candidate ks of a quadrant of n points."""
-    if fixed_k is not None:
-        return [fixed_k]
-    k_top = config.k_max if config.k_max is not None else default_k_max(n)
-    return range(config.k_min, k_top + 1)
+@contextmanager
+def _naming(letter: str) -> Iterator[None]:
+    """Re-raise a SitepickError with the quadrant letter appended."""
+    try:
+        yield
+    except SitepickError as exc:
+        raise type(exc)(f"{exc} (quadrant {letter})") from exc
 
 
 def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
@@ -264,12 +268,13 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     data, parsed = _parse_survey(config, column_map)
     metric = HaversineMetric(EarthModel(config.earth_radius_km))
     out_dir = Path(config.output_dir)
+    k_min, k_max = (fixed_k, fixed_k) if fixed_k is not None else (config.k_min, config.k_max)
     manifest = RunManifest(
         tool_version=__version__,
         input_digest=sha256_digest(data),
         base_seed=config.base_seed,
-        k_min=fixed_k if fixed_k is not None else config.k_min,
-        k_max=fixed_k if fixed_k is not None else config.k_max,
+        k_min=k_min,
+        k_max=k_max,
         runs_per_k=config.runs_per_k,
         max_iterations=config.max_iterations,
         earth_radius_km=config.earth_radius_km,
@@ -278,31 +283,26 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         region_order=config.region_order,
     )
     # Phase 1: each selected quadrant's points and candidate ks (None when it
-    # has no responses), up to the first quadrant whose ks cannot be chosen:
-    # that quadrant fails the run, and none after it could fail it first.
-    jobs: list[tuple[str, QuadrantPoints, "Sequence[int] | SitepickError | None"]] = []
+    # has no responses), so a k range that cannot be met fails before any sweep.
+    jobs: list[tuple[str, QuadrantPoints, Optional[Sequence[int]]]] = []
     for letter in config.quadrants:
         points = build_weighted_points(parsed.responses, Quadrant.from_token(letter))
-        try:
-            ks = _k_range(config, fixed_k, len(points.responses)) if points.responses else None
-        except SitepickError as exc:
-            ks = exc
+        n = len(points.responses)
+        with _naming(letter):
+            ks = candidate_ks(n, range(k_min, (k_max or default_k_max(n)) + 1)) if n else None
         jobs.append((letter, points, ks))
-        if isinstance(ks, SitepickError):
-            break
-    # Phase 2: one sweep over the (quadrant, k) cells of every quadrant.
-    outcomes = iter(sweep(
-        [(points.coords, points.weights, ks) for _, points, ks in jobs
-         if ks is not None and not isinstance(ks, SitepickError)],
+    # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
+    # quadrant by quadrant, the first failing sweep decides the error.
+    # Artifacts are rendered in full before anything is written, so a
+    # quadrant that fails leaves no artifacts of the quadrants before it.
+    results = sweep(
+        [(points.coords, points.weights, ks) for _, points, ks in jobs if ks is not None],
         runs_per_k=config.runs_per_k,
         base_seed=config.base_seed,
         metric=metric,
         max_iterations=config.max_iterations,
         workers=config.workers,
-    ))
-    # Phase 3: quadrant by quadrant, the first failure decides the error.
-    # Artifacts are rendered in full before anything is written, so a
-    # quadrant that fails leaves no artifacts of the quadrants before it.
+    )
     artifacts: list[tuple[str, bytes]] = []
     for letter, points, ks in jobs:
         quadrant = Quadrant.from_token(letter)
@@ -311,10 +311,8 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
         auc = reliability_auc(points.weights)
-        try:
-            swept = ks if isinstance(ks, SitepickError) else next(outcomes)
-            if isinstance(swept, SitepickError):
-                raise swept
+        with _naming(letter):
+            swept = next(results)
             best = swept.best
             reps = select_representatives(points.coords, best.labels, best.centers, metric)
             sites = assign_site_ids(
@@ -325,8 +323,6 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
                 (f"sites_{letter}.csv", export_site_table(sites)),
                 (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
             ]
-        except SitepickError as exc:
-            raise type(exc)(f"{exc} (quadrant {letter})") from exc
         if not best.converged:
             print(f"warning: quadrant {letter}: best run at k={swept.optimal_k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)

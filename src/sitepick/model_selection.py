@@ -10,7 +10,8 @@ Seeds for each (k, run) cell are derived independently from the base seed,
 so results do not depend on execution order and the sweep can fan out
 across processes. `sweep_quadrants` sweeps several quadrants through one
 pool: a (quadrant, k) cell is one k's runs of one quadrant, and the pool has
-at most one process per cell and per CPU this process may run on.
+at most one process per cell and per CPU this process may run on. It checks
+every quadrant before any cell runs, and errors are raised, never returned.
 
 Memory model: every (k, run) cell of a quadrant reads the same pairwise
 distance matrix (for k-means++ seeding, empty-cluster repair and Dunn
@@ -51,7 +52,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from .clustering import (
     _kmeans_batch,
     DEFAULT_MAX_ITERATIONS,
 )
-from .errors import DegenerateClusteringError, SitepickError, SweepError, ValidationError
+from .errors import DegenerateClusteringError, SweepError, ValidationError
 from .rng import derive_seed
 
 DEFAULT_RUNS_PER_K = 100
@@ -119,6 +120,20 @@ def default_k_max(n: int) -> int:
     if n < 4:
         raise ValidationError(f"need at least 4 points to sweep, got {n}")
     return math.isqrt(n)
+
+
+def candidate_ks(n: int, k_range: Iterable[int] | None = None) -> Sequence[int]:
+    """The candidate ks of a quadrant of n points, ascending: 2 to
+    default_k_max(n) when k_range is None, else k_range's distinct values,
+    of which there must be at least one and each in [2, n]."""
+    if k_range is None:
+        return range(2, default_k_max(n) + 1)
+    ks = sorted(set(int(k) for k in k_range))
+    if not ks:
+        raise ValidationError("no candidate k values to sweep")
+    if ks[0] < 2 or ks[-1] > n:
+        raise ValidationError(f"candidate k values must lie in [2, {n}], got {ks}")
+    return ks
 
 
 def dunn_index(
@@ -239,37 +254,6 @@ def _dunn_from_matrix(
     return score if score.value > to_beat else None
 
 
-def _best_for_k(
-    dist: np.ndarray,
-    tree: _Tree,
-    coords: np.ndarray,
-    weights: np.ndarray,
-    runs_per_k: int,
-    base_seed: int,
-    metric: DistanceMetric,
-    max_iterations: int,
-    k: int,
-) -> Optional[KBest]:
-    """The highest-scoring of k's runs_per_k seeded runs, the earliest among
-    equal scores, or None when every run is degenerate.
-
-    Runs are visited in run order and each is scored against the best so far:
-    `_dunn_from_matrix` drops, without reading a diameter, every run whose
-    exact upper bound cannot beat it. A dropped run could at best tie, and
-    ties keep the earlier run, so the winner is the one exhaustive scoring
-    picks.
-    """
-    seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
-    runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
-    best: Optional[KBest] = None
-    for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
-        to_beat = -math.inf if best is None else best.dunn.value
-        score = _dunn_from_matrix(dist, tree, labels, to_beat, metric.triangle_slack)
-        if score is not None:
-            best = KBest(run, seed, centers, labels, iterations, converged, score)
-    return best
-
-
 # The quadrant whose cell this process ran last: its index in the
 # `sweep_quadrants` call, its distance matrix and their spanning tree. A pool
 # worker keeps it from one cell to the next; the calling process clears it
@@ -287,64 +271,40 @@ def _sweep_cell(
     max_iterations: int,
     k: int,
 ) -> Optional[KBest]:
-    """_best_for_k of one (quadrant, k) cell. The quadrant's matrix and tree
-    are built on this process's first cell of it, after the previous
-    quadrant's are dropped, so a process holds one matrix at a time."""
+    """The best of k's runs_per_k seeded runs on one quadrant, the earliest
+    among equal scores, or None when every run is degenerate. The quadrant's
+    matrix and tree are built on this process's first cell of it, after the
+    previous quadrant's are dropped, so a process holds one at a time.
+
+    Runs are scored in run order against the best so far, and
+    `_dunn_from_matrix` drops unread every run whose exact upper bound cannot
+    beat it: such a run could at best tie, and ties keep the earlier run.
+    """
     global _QUADRANT
     if _QUADRANT is None or _QUADRANT[0] != quadrant:
         _QUADRANT = None
         dist = _distance_matrix(coords, metric)
         _QUADRANT = (quadrant, dist, _spanning_tree(dist))
     _, dist, tree = _QUADRANT
-    return _best_for_k(
-        dist, tree, coords, weights, runs_per_k, base_seed, metric, max_iterations, k
-    )
+    seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
+    runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
+    best: Optional[KBest] = None
+    for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
+        to_beat = -math.inf if best is None else best.dunn.value
+        score = _dunn_from_matrix(dist, tree, labels, to_beat, metric.triangle_slack)
+        if score is not None:
+            best = KBest(run, seed, centers, labels, iterations, converged, score)
+    return best
 
 
-def _attempt(call, *args):
-    """call(*args), or the SitepickError it raised."""
-    try:
-        return call(*args)
-    except SitepickError as exc:
-        return exc
-
-
-def _checked_quadrant(
-    coords: np.ndarray,
-    weights: "list[float] | np.ndarray",
-    k_range: Iterable[int] | None,
-    runs_per_k: int,
-) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
-    """coords, float64 weights and the ascending candidate ks of one quadrant."""
-    w = _checked_weights(coords, weights)
-    n = len(coords)
-    if runs_per_k < 1:
-        raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
-    if k_range is None:
-        ks: Sequence[int] = range(2, default_k_max(n) + 1)
-    else:
-        ks = sorted(set(int(k) for k in k_range))
-    if len(ks) == 0:
-        raise ValidationError("no candidate k values to sweep")
-    if ks[0] < 2 or ks[-1] > n:
-        raise ValidationError(f"candidate k values must lie in [2, {n}], got {list(ks)}")
-    return coords, w, ks
-
-
-def _sweep_result(per_k: "dict[int, Optional[KBest] | SitepickError]") -> SweepResult:
-    """One quadrant's SweepResult from its cells in ascending k. Raises the
-    error of the smallest k whose cell failed, or SweepError when every run
-    at every k was degenerate."""
-    for best in per_k.values():
-        if isinstance(best, SitepickError):
-            raise best
+def _sweep_result(per_k: "dict[int, Optional[KBest]]") -> SweepResult:
+    """One quadrant's SweepResult from its cells in ascending k. Raises
+    SweepError when every run at every k was degenerate."""
     scored = [k for k, best in per_k.items() if best is not None]
     if not scored:
-        raise SweepError(
-            "every run at every candidate k was degenerate (all clusters were "
-            "coincident-point singletons); lower k relative to the number of "
-            "distinct points"
-        )
+        raise SweepError("every run at every candidate k was degenerate (all clusters were "
+                         "coincident-point singletons); lower k relative to the number of "
+                         "distinct points")
     # max keeps the first of equal scores, so ties go to the smallest k.
     return SweepResult(per_k, max(scored, key=lambda k: per_k[k].dunn.value))
 
@@ -362,25 +322,28 @@ def sweep_quadrants(
     metric: DistanceMetric = HaversineMetric(),
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     workers: int = 1,
-) -> "list[SweepResult | SitepickError]":
+) -> Iterator[SweepResult]:
     """`sweep` of each (coords, weights, k_range) in `quadrants`, with the
     settings shared, through at most one process pool for all their
     (quadrant, k) cells.
 
-    Returns one outcome per quadrant, in order: its SweepResult, or the
-    SitepickError its sweep raised, which leaves the other quadrants' outcomes
-    as they would be alone.
+    The call checks every quadrant, then runs every cell, and raises the
+    first error either finds. It returns an iterator over the quadrants'
+    SweepResults, in order; a quadrant whose runs were all degenerate raises
+    SweepError when the iterator reaches it.
     """
     global _QUADRANT
-    checked = [_attempt(_checked_quadrant, *quadrant, runs_per_k) for quadrant in quadrants]
+    if runs_per_k < 1:
+        raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
+    checked = [
+        (coords, _checked_weights(coords, weights), candidate_ks(len(coords), k_range))
+        for coords, weights, k_range in quadrants
+    ]
     # Quadrant by quadrant, so a process moves through the matrices in order,
     # and largest k first, so the longest cells do not start last.
     settings = (runs_per_k, base_seed, metric, max_iterations)
-    cells = []
-    for i, quadrant in enumerate(checked):
-        if not isinstance(quadrant, SitepickError):
-            coords, w, ks = quadrant
-            cells += [(i, coords, w, *settings, k) for k in reversed(ks)]
+    cells = [(i, coords, w, *settings, k) for i, (coords, w, ks) in enumerate(checked)
+             for k in reversed(ks)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     size = _pool_size(workers, len(cells), cpus or 1)
     try:
@@ -390,17 +353,13 @@ def sweep_quadrants(
             # the parent.
             with ProcessPoolExecutor(max_workers=size) as pool:
                 futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
-            bests = [_attempt(future.result) for future in futures]
+            bests = [future.result() for future in futures]
         else:
-            bests = [_attempt(_sweep_cell, *cell) for cell in cells]
+            bests = [_sweep_cell(*cell) for cell in cells]
     finally:
         _QUADRANT = None
     by_cell = {(cell[0], cell[-1]): best for cell, best in zip(cells, bests)}
-    return [
-        quadrant if isinstance(quadrant, SitepickError)
-        else _attempt(_sweep_result, {k: by_cell[i, k] for k in quadrant[2]})
-        for i, quadrant in enumerate(checked)
-    ]
+    return (_sweep_result({k: by_cell[i, k] for k in ks}) for i, (*_, ks) in enumerate(checked))
 
 
 def sweep(
@@ -423,9 +382,6 @@ def sweep(
     are dropped; a k where every run degenerates maps to None; if that
     happens for all k the sweep raises SweepError.
     """
-    (outcome,) = sweep_quadrants(
+    return next(sweep_quadrants(
         [(coords, weights, k_range)], runs_per_k, base_seed, metric, max_iterations, workers
-    )
-    if isinstance(outcome, SitepickError):
-        raise outcome
-    return outcome
+    ))

@@ -548,25 +548,29 @@ def coincident(letter):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
-    "rows",
+    "rows, code, error, letter",
     [
         # Both quadrants' sweeps fail; B's rows come first in the file.
-        pytest.param(coincident("B") + coincident("A"), id="both-sweeps"),
-        # A's sweep fails; B's k range (3 points) fails before any sweep.
+        pytest.param(coincident("B") + coincident("A"), 4,
+                     "error: every run at every candidate k was degenerate", "A",
+                     id="both-sweeps"),
+        # A's sweep would fail, but B's k range (3 points) fails before any sweep.
         pytest.param(
             coincident("A") + [row.replace(",A,", ",B,") for row in TWO_REGION_ROWS[:3]],
-            id="sweep-then-k-range",
+            2, "error: need at least 4 points to sweep, got 3", "B", id="sweep-then-k-range",
         ),
     ],
 )
-def test_first_failing_quadrant_decides_the_error(tmp_path, capsys, rows, workers):
+def test_first_failing_quadrant_decides_the_error(
+    tmp_path, capsys, rows, code, error, letter, workers
+):
     survey = write_survey(tmp_path, rows)
     out = tmp_path / "out"
     assert main(["sweep", str(survey), "-o", str(out), "--runs-per-k", "3",
-                 "--workers", workers]) == 4
+                 "--workers", workers]) == code
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: every run at every candidate k was degenerate")
-    assert captured.err.endswith(" (quadrant A)\n")
+    assert captured.err.startswith(error)
+    assert captured.err.endswith(f" (quadrant {letter})\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -519,30 +519,47 @@ def test_serial_sweep_builds_each_quadrant_matrix_once_and_keeps_none(monkeypatc
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failing_quadrant_leaves_the_others_as_alone(monkeypatch, workers):
+    # The quadrants before a degenerate one yield what `sweep` gives each of
+    # them alone; the degenerate one then raises SweepError.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     (first, first_w), (last, last_w) = _scattered_quadrants([9, 12])
     coincident = coords_array([from_degrees(1.3, 103.8)] * 5)
-    outcomes = sweep_quadrants(
-        [
-            (first, first_w, [2, 3]),
-            (coincident, [1.0] * 5, [2]),
-            (last, last_w, [2, 20]),
-            (last, last_w, None),
-        ],
-        runs_per_k=4,
-        base_seed=5,
-        workers=workers,
-    )
-    assert isinstance(outcomes[1], SweepError)
-    assert isinstance(outcomes[2], ValidationError)
-    for (coords, weights, k_range), outcome in [
-        ((first, first_w, [2, 3]), outcomes[0]),
-        ((last, last_w, None), outcomes[3]),
-    ]:
+    quadrants = [(first, first_w, [2, 3]), (last, last_w, None), (coincident, [1.0] * 5, [2])]
+    results = sweep_quadrants(quadrants, runs_per_k=4, base_seed=5, workers=workers)
+    for coords, weights, k_range in quadrants[:2]:
         alone = sweep(coords, weights, k_range=k_range, runs_per_k=4, base_seed=5)
+        outcome = next(results)
         assert outcome.optimal_k == alone.optimal_k
         assert np.array_equal(outcome.best.labels, alone.best.labels)
         assert outcome.best.dunn == alone.best.dunn
+    with pytest.raises(SweepError):
+        next(results)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("bad_at", [0, 1, 2])
+@pytest.mark.parametrize(
+    "n, k_range",
+    [(12, [2, 20]), (12, [1, 2]), (12, []), (3, None)],
+    ids=["above-n", "below-2", "empty", "too-few-points"],
+)
+def test_a_bad_k_range_in_any_quadrant_fails_before_any_matrix(
+    monkeypatch, workers, bad_at, n, k_range
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []  # every pool or matrix the call begins to build
+
+    def record(*args, **kwargs):
+        started.append((args, kwargs))
+
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
+    quadrants = [(coords, weights, [2, 3]) for coords, weights in _scattered_quadrants([9, 10])]
+    coords, weights = _scattered_quadrants([n], seed=7)[0]
+    quadrants.insert(bad_at, (coords, weights, k_range))
+    with pytest.raises(ValidationError):
+        sweep_quadrants(quadrants, runs_per_k=2, workers=workers)
+    assert started == []
 
 
 # --- candidate range ---
