@@ -227,11 +227,17 @@ def parse_responses(
     diagnostics.
 
     column_map renames canonical columns to whatever the file actually uses
-    (e.g. {"latitude_deg": "lat"}). A missing required column is a
-    file-level ParseError. Cell-level problems become diagnostics naming the
+    (e.g. {"latitude_deg": "lat"}); one that reads two canonical columns from
+    one file column is a ConfigError. A missing required column, or a column
+    this reads that the header names twice, is a file-level ParseError. Cell-level problems become diagnostics naming the
     row and the column as it appears in the file; with strict=True any
     diagnostic is escalated to a ParseError after the whole file is read.
     """
+    actual = {c: (column_map or {}).get(c, c) for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
+    owner: dict = {}
+    for canonical, name in actual.items():
+        if owner.setdefault(name, canonical) != canonical:
+            raise ConfigError(f"column map reads {owner[name]!r} and {canonical!r} from {name!r}")
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
@@ -246,12 +252,13 @@ def parse_responses(
     header = next(reader, None)
     if header is None:
         raise ParseError("input has no header row")
-    position = {cell.strip(): i for i, cell in enumerate(header)}
-    column_map = column_map or {}
-    actual = {c: column_map.get(c, c) for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
-    for canonical in REQUIRED_COLUMNS:
-        if actual[canonical] not in position:
-            raise ParseError(f"required column {actual[canonical]!r} not found in header")
+    names = [cell.strip() for cell in header]
+    position = {name: i for i, name in enumerate(names)}
+    for canonical, name in actual.items():
+        if name in position and names.index(name) != position[name]:
+            raise ParseError(f"column {name!r} appears more than once in the header")
+        if name not in position and canonical in REQUIRED_COLUMNS:
+            raise ParseError(f"required column {name!r} not found in header")
     at = [position.get(name) for name in actual.values()]
     (participant_at, quadrant_at, region_at, lat_at, lon_at, category_at, duration_at,
      cadence_at, rationale_at) = at

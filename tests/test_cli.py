@@ -339,6 +339,33 @@ def test_quadrant_errors_name_the_quadrant(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(" (quadrant B)\n")
 
 
+def test_a_column_read_twice_fails_the_run(tmp_path, capsys):
+    # The last latitude_deg column used to win silently, putting the sites at
+    # 45-46.5 degrees instead of among the responses.
+    survey = tmp_path / "survey.csv"
+    rows = [f"{row},{45 + 0.5 * i}" for i, row in enumerate(TWO_REGION_ROWS)]
+    survey.write_text(HEADER + ",latitude_deg\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", str(survey), "-o", str(out), "--k", "2", "--runs-per-k", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: column 'latitude_deg' appears more than once in the header\n"
+    )
+    assert not out.exists()
+
+
+def test_a_column_map_reading_one_column_twice_is_a_usage_error(tmp_path, capsys):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    column_map = tmp_path / "columns.txt"
+    column_map.write_text("latitude_deg = longitude_deg\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", str(survey), "-o", str(out), "--k", "2",
+                 "--column-map", str(column_map)]) == 2
+    assert capsys.readouterr().err == (
+        "error: column map reads 'latitude_deg' and 'longitude_deg' from 'longitude_deg'\n"
+    )
+    assert not out.exists()
+
+
 def test_failed_quadrant_writes_no_output_dir(tmp_path, capsys):
     survey = write_survey(tmp_path, A_THEN_DEGENERATE_B)
     out = tmp_path / "out"

@@ -208,6 +208,34 @@ def test_parse_column_map_renames_and_names_actual_header():
         parse(rows)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [HEADER + ",latitude_deg", "latitude_deg," + HEADER, HEADER + ",cadence,cadence"],
+    ids=["required-last", "required-first", "optional"],
+)
+def test_parse_rejects_a_column_it_reads_named_twice(header):
+    with pytest.raises(ParseError, match=r"column '\w+' appears more than once in the header"):
+        parse(header + "\n" + "p1,A,CBD,1.0,103.0,1 to 3,5,45.0,x\n")
+
+
+def test_parse_allows_a_column_it_does_not_read_named_twice():
+    result = parse(HEADER + ",note,note\np1,A,CBD,1.0,103.0,1 to 3,5,a,b\n")
+    assert result.accepted == 1 and result.responses[0].lat_deg == 1.0
+
+
+@pytest.mark.parametrize(
+    "column_map, message",
+    [
+        ({"latitude_deg": "lat", "longitude_deg": "lat"}, "'latitude_deg' and 'longitude_deg' from 'lat'"),
+        ({"latitude_deg": "longitude_deg"}, "'latitude_deg' and 'longitude_deg' from 'longitude_deg'"),
+        ({"cadence": "note", "rationale": "note"}, "'cadence' and 'rationale' from 'note'"),
+    ],
+)
+def test_parse_rejects_a_column_map_that_reads_one_column_twice(column_map, message):
+    with pytest.raises(ConfigError, match=f"column map reads {message}$"):
+        parse(SIX_ROWS, column_map=column_map)
+
+
 def test_parse_strict_escalates_after_full_read():
     rows = HEADER + "\np1,A,CBD,91.0,103.0,1 to 3,5\n"
     with pytest.raises(ParseError, match="strict"):
