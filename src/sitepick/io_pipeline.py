@@ -229,9 +229,10 @@ def parse_responses(
     column_map renames canonical columns to whatever the file actually uses
     (e.g. {"latitude_deg": "lat"}); one that reads two canonical columns from
     one file column is a ConfigError. A missing required column, or a column
-    this reads that the header names twice, is a file-level ParseError. Cell-level problems become diagnostics naming the
-    row and the column as it appears in the file; with strict=True any
-    diagnostic is escalated to a ParseError after the whole file is read.
+    read here that the header names twice, is a file-level ParseError.
+    Cell-level problems become diagnostics naming the row and the column as
+    it appears in the file; with strict=True any diagnostic is escalated to a
+    ParseError after the whole file is read.
     """
     actual = {c: (column_map or {}).get(c, c) for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
     owner: dict = {}
