@@ -23,10 +23,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .clustering import DEFAULT_MAX_ITERATIONS, HaversineMetric
@@ -253,15 +252,6 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextmanager
-def _naming(letter: str) -> Iterator[None]:
-    """Re-raise a SitepickError with the quadrant letter appended."""
-    try:
-        yield
-    except SitepickError as exc:
-        raise type(exc)(f"{exc} (quadrant {letter})") from exc
-
-
 def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     config = resolve_config(args)
     column_map = _load_column_map(args.column_map)
@@ -288,8 +278,10 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     for letter in config.quadrants:
         points = build_weighted_points(parsed.responses, Quadrant.from_token(letter))
         n = len(points.responses)
-        with _naming(letter):
+        try:
             ks = candidate_ks(n, range(k_min, (k_max or default_k_max(n)) + 1)) if n else None
+        except SitepickError as exc:
+            raise type(exc)(f"{exc} (quadrant {letter})") from exc
         jobs.append((letter, points, ks))
     # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
     # quadrant by quadrant, the first failing sweep decides the error.
@@ -311,7 +303,7 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
         auc = reliability_auc(points.weights)
-        with _naming(letter):
+        try:
             swept = next(results)
             best = swept.best
             reps = select_representatives(points.coords, best.labels, best.centers, metric)
@@ -323,6 +315,8 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
                 (f"sites_{letter}.csv", export_site_table(sites)),
                 (f"dunn_curve_{letter}.csv", export_dunn_curve(swept)),
             ]
+        except SitepickError as exc:
+            raise type(exc)(f"{exc} (quadrant {letter})") from exc
         if not best.converged:
             print(f"warning: quadrant {letter}: best run at k={swept.optimal_k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)

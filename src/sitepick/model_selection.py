@@ -302,9 +302,11 @@ def _sweep_result(per_k: "dict[int, Optional[KBest]]") -> SweepResult:
     SweepError when every run at every k was degenerate."""
     scored = [k for k, best in per_k.items() if best is not None]
     if not scored:
-        raise SweepError("every run at every candidate k was degenerate (all clusters were "
-                         "coincident-point singletons); lower k relative to the number of "
-                         "distinct points")
+        raise SweepError(
+            "every run at every candidate k was degenerate (all clusters were "
+            "coincident-point singletons); lower k relative to the number of "
+            "distinct points"
+        )
     # max keeps the first of equal scores, so ties go to the smallest k.
     return SweepResult(per_k, max(scored, key=lambda k: per_k[k].dunn.value))
 
