@@ -2,12 +2,13 @@
 
 Subcommands:
   weights   parse a survey and report reliability weights and per-quadrant AUC
-  cluster   cluster one or more quadrants at a fixed k
   sweep     full pipeline: sweep k per quadrant, pick the best, emit artifacts
+  cluster   sweep at the one k given by --k (it takes no --k-min or --k-max)
   synth     generate a synthetic survey CSV for demos and tests
 
 Configuration is read from flags and, optionally, a key=value config file
-given with --config; flags win over the file. Environment variables are
+given with --config; flags win over the file. cluster --k K is sweep with
+k_min = k_max = K, whatever the file says. Environment variables are
 deliberately never consulted, so a command line plus its files fully
 determines the run. Exit codes: 0 success, 2 bad configuration or usage
 (including a --config or --column-map file that is missing or not UTF-8
@@ -102,34 +103,42 @@ class RunConfig:
         for letter in self.quadrants:
             if letter not in _QUADRANT_CHOICES:
                 raise ConfigError(f"unknown quadrant letter {letter!r}")
+        if not self.quadrants:
+            raise ConfigError("quadrants must name at least one quadrant")
         if not self.region_order:
             raise ConfigError("region_order must name at least one region")
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"config key {key}: expected a boolean, got {raw!r}")
+    raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
 def _parse_list(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-_CONFIG_PARSERS = {
-    "base_seed": lambda k, v: int(v),
-    "runs_per_k": lambda k, v: int(v),
-    "k_min": lambda k, v: int(v),
-    "k_max": lambda k, v: int(v),
-    "max_iterations": lambda k, v: int(v),
-    "earth_radius_km": lambda k, v: float(v),
-    "strict": _parse_bool,
-    "quadrants": lambda k, v: tuple(part.upper() for part in _parse_list(v)),
-    "region_order": lambda k, v: _parse_list(v),
-    "workers": lambda k, v: int(v),
+# Each run option once: config key -> (text reader, flag help), in --help order.
+# Its flag is --key-with-dashes, except --strict (no value) and --quadrant.
+_RUN_OPTIONS = {
+    "strict": (_parse_bool, "treat any row diagnostic as a fatal parse error"),
+    "quadrants": (lambda raw: tuple(part.upper() for part in _parse_list(raw)),
+                  "quadrant letter to process (repeatable; default all)"),
+    "base_seed": (int, "seed all runs derive from (default 0)"),
+    "runs_per_k": (int, f"restarts per candidate k (default {DEFAULT_RUNS_PER_K})"),
+    "k_min": (int, "smallest candidate k (default 2)"),
+    "k_max": (int, "largest candidate k (default: floor(sqrt(n)) per quadrant)"),
+    "max_iterations": (int, f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})"),
+    "earth_radius_km": (float, "sphere radius for distances, within [%g, %g] (default 6371)"
+                        % EARTH_RADIUS_RANGE_KM),
+    "region_order": (_parse_list, "comma-separated region ordering for site tables"),
+    "workers": (int, "processes for the sweep, at most one per (quadrant, k) cell and per "
+                     "CPU; each holds one quadrant's 8*n*n-byte distance matrix at a time "
+                     "and up to 2 MB of k-means scratch; results do not depend on this"),
 }
 
 
@@ -149,39 +158,39 @@ def _read_key_values(path: "str | Path", what: str) -> "dict[str, str]":
 
 def load_config_file(path: "str | Path") -> RunConfig:
     """RunConfig from a key=value file; unknown keys are an error."""
-    values = _read_key_values(path, "config file")
     fields: dict = {}
-    for key, raw in values.items():
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
-            known = ", ".join(sorted(_CONFIG_PARSERS))
+    for key, raw in _read_key_values(path, "config file").items():
+        if key not in _RUN_OPTIONS:
+            known = ", ".join(sorted(_RUN_OPTIONS))
             raise ConfigError(f"unknown config key {key!r} (known: {known})")
         try:
-            fields[key] = parser(key, raw)
+            fields[key] = _RUN_OPTIONS[key][0](raw)
         except ValueError:
             raise ConfigError(f"config key {key}: could not parse {raw!r}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
     return RunConfig(**fields)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the optional --config file, and explicit flags."""
+    """Merge defaults, the --config file and flags; cluster's --k K sets k_min = k_max = K."""
     config = RunConfig()
     if args.config is not None:
         config = load_config_file(args.config)
     overrides: dict = {}
-    for name in ("input", "output_dir", *_CONFIG_PARSERS):
+    for name in ("input", "output_dir", *_RUN_OPTIONS):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = tuple(value) if name == "quadrants" else value
+    if getattr(args, "k", None) is not None:
+        overrides["k_min"] = overrides["k_max"] = args.k
     config = replace(config, **overrides)
     config.validate()
     return config
 
 
 def _load_column_map(path: "str | None") -> "dict[str, str] | None":
-    if path is None:
-        return None
-    return _read_key_values(path, "column map")
+    return None if path is None else _read_key_values(path, "column map")
 
 
 def _parse_survey(
@@ -252,19 +261,17 @@ def cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     column_map = _load_column_map(args.column_map)
     data, parsed = _parse_survey(config, column_map)
     metric = HaversineMetric(EarthModel(config.earth_radius_km))
-    out_dir = Path(config.output_dir)
-    k_min, k_max = (fixed_k, fixed_k) if fixed_k is not None else (config.k_min, config.k_max)
     manifest = RunManifest(
         tool_version=__version__,
         input_digest=sha256_digest(data),
         base_seed=config.base_seed,
-        k_min=k_min,
-        k_max=k_max,
+        k_min=config.k_min,
+        k_max=config.k_max,
         runs_per_k=config.runs_per_k,
         max_iterations=config.max_iterations,
         earth_radius_km=config.earth_radius_km,
@@ -274,21 +281,23 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
     )
     # Phase 1: each selected quadrant's points and candidate ks (None when it
     # has no responses), so a k range that cannot be met fails before any sweep.
-    jobs: list[tuple[str, QuadrantPoints, Optional[Sequence[int]]]] = []
+    jobs: list[tuple[Quadrant, QuadrantPoints, int, Optional[Sequence[int]]]] = []
+    k_min, k_max = config.k_min, config.k_max
     for letter in config.quadrants:
-        points = build_weighted_points(parsed.responses, Quadrant.from_token(letter))
+        quadrant = Quadrant.from_token(letter)
+        points = build_weighted_points(parsed.responses, quadrant)
         n = len(points.responses)
         try:
             ks = candidate_ks(n, range(k_min, (k_max or default_k_max(n)) + 1)) if n else None
         except SitepickError as exc:
             raise type(exc)(f"{exc} (quadrant {letter})") from exc
-        jobs.append((letter, points, ks))
+        jobs.append((quadrant, points, n, ks))
     # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
     # quadrant by quadrant, the first failing sweep decides the error.
     # Artifacts are rendered in full before anything is written, so a
     # quadrant that fails leaves no artifacts of the quadrants before it.
     results = sweep(
-        [(points.coords, points.weights, ks) for _, points, ks in jobs if ks is not None],
+        [(points.coords, points.weights, ks) for _, points, _, ks in jobs if ks is not None],
         runs_per_k=config.runs_per_k,
         base_seed=config.base_seed,
         metric=metric,
@@ -296,9 +305,8 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         workers=config.workers,
     )
     artifacts: list[tuple[str, bytes]] = []
-    for letter, points, ks in jobs:
-        quadrant = Quadrant.from_token(letter)
-        n = len(points.responses)
+    for quadrant, points, n, ks in jobs:
+        letter = quadrant.letter
         if ks is None:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
@@ -337,18 +345,8 @@ def _run_pipeline(args: argparse.Namespace, fixed_k: Optional[int]) -> int:
         )
     if not manifest.quadrants:
         raise ConfigError("no selected quadrant had any responses")
-    _write(out_dir, artifacts + [("manifest.json", manifest.to_json())])
+    _write(Path(config.output_dir), artifacts + [("manifest.json", manifest.to_json())])
     return 0
-
-
-def cmd_cluster(args: argparse.Namespace) -> int:
-    if args.k < 2:
-        raise ConfigError(f"--k must be >= 2, got {args.k}")
-    return _run_pipeline(args, fixed_k=args.k)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_pipeline(args, fixed_k=None)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -371,36 +369,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
+def _add_run_options(parser: argparse.ArgumentParser, omit: Sequence[str] = ()) -> None:
     parser.add_argument("input", help="survey CSV file")
     parser.add_argument("-o", "--output-dir", default="sitepick_out",
                         help="directory for artifacts (default: %(default)s)")
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--column-map",
                         help="key=value file renaming canonical CSV columns to yours")
-    parser.add_argument("--strict", action="store_const", const=True,
-                        help="treat any row diagnostic as a fatal parse error")
-    parser.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
-                        dest="quadrants", metavar="LETTER",
-                        help="quadrant letter to process (repeatable; default all)")
-    parser.add_argument("--base-seed", type=int, help="seed all runs derive from (default 0)")
-    parser.add_argument("--runs-per-k", type=int,
-                        help=f"restarts per candidate k (default {DEFAULT_RUNS_PER_K})")
-    parser.add_argument("--k-min", type=int, help="smallest candidate k (default 2)")
-    parser.add_argument("--k-max", type=int,
-                        help="largest candidate k (default: floor(sqrt(n)) per quadrant)")
-    parser.add_argument("--max-iterations", type=int,
-                        help=f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})")
-    parser.add_argument("--earth-radius-km", type=float,
-                        help="sphere radius for distances, within [%g, %g] (default 6371)"
-                        % EARTH_RADIUS_RANGE_KM)
-    parser.add_argument("--region-order", type=_parse_list,
-                        help="comma-separated region ordering for site tables")
-    parser.add_argument("--workers", type=int,
-                        help="processes for the sweep, at most one per (quadrant, k) cell "
-                             "and per CPU; each holds one quadrant's 8*n*n-byte distance "
-                             "matrix at a time and up to 2 MB of k-means scratch; results "
-                             "do not depend on this")
+    for key, (reader, help_text) in _RUN_OPTIONS.items():
+        if key == "strict":
+            parser.add_argument("--strict", action="store_const", const=True, help=help_text)
+        elif key == "quadrants":
+            parser.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
+                                dest=key, metavar="LETTER", help=help_text)
+        elif key not in omit:
+            parser.add_argument("--" + key.replace("_", "-"), type=reader, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,9 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     weights.set_defaults(handler=cmd_weights)
 
     cluster = commands.add_parser("cluster", help="cluster quadrants at a fixed k")
-    _add_run_options(cluster)
+    _add_run_options(cluster, omit=("k_min", "k_max"))
     cluster.add_argument("--k", type=int, required=True, help="number of clusters")
-    cluster.set_defaults(handler=cmd_cluster)
+    cluster.set_defaults(handler=cmd_sweep)
 
     swp = commands.add_parser("sweep", help="sweep k, keep the best clustering per quadrant")
     _add_run_options(swp)

@@ -301,6 +301,30 @@ def test_cluster_k_below_two_is_usage_error(tmp_path):
     assert main(["cluster", str(survey), "-o", str(tmp_path / "o"), "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
+@pytest.mark.parametrize("value", ["1", "5"])
+def test_cluster_takes_no_k_range_flags(tmp_path, capsys, flag, value):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cluster", str(survey), "-o", str(out), "--k", "3", flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cluster_k_overrides_the_config_file_k_range(tmp_path):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    config = tmp_path / "run.cfg"
+    config.write_text("k_min = 1\nk_max = 9\nruns_per_k = 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["cluster", str(survey), "-o", str(out), "--k", "3",
+                 "--config", str(config)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["k_min"], manifest["k_max"]) == (3, 3)
+    assert manifest["quadrants"]["A"]["optimal_k"] == 3
+
+
 def test_cluster_coincident_points_exit_code(tmp_path, capsys):
     synth_csv = tmp_path / "tight.csv"
     main(["synth", "-o", str(synth_csv), "--blobs", "1", "--per-blob", "4",
@@ -749,6 +773,19 @@ def test_selected_quadrant_without_responses(tmp_path, capsys):
     assert "no selected quadrant" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["weights", "sweep"])
+def test_an_empty_quadrant_list_is_a_usage_error(tmp_path, capsys, command):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    config = tmp_path / "run.cfg"
+    config.write_text("quadrants =\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, str(survey), "-o", str(out), "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: quadrants must name at least one quadrant\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
@@ -769,6 +806,8 @@ def test_run_config_validate():
         RunConfig(quadrants=("A", "A")).validate()
     with pytest.raises(ConfigError):
         RunConfig(quadrants=("Z",)).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(quadrants=()).validate()
     RunConfig().validate()
 
 
@@ -814,3 +853,43 @@ def test_load_config_file_parses_every_knob(tmp_path):
     assert loaded.quadrants == ("A", "C")
     assert loaded.region_order == ("West", "East")
     assert loaded.workers == 2
+
+
+# A text for every run option, and the same option as its flag gives it.
+OPTION_TEXTS = {
+    "strict": ("yes", ["--strict"]),
+    "quadrants": ("b, d", ["--quadrant", "B", "--quadrant", "D"]),
+    "base_seed": ("7", None),
+    "runs_per_k": ("4", None),
+    "k_min": ("3", None),
+    "k_max": ("5", None),
+    "max_iterations": ("9", None),
+    "earth_radius_km": ("6371.0088", None),
+    "region_order": ("West, East", None),
+    "workers": ("2", None),
+}
+
+
+@pytest.mark.parametrize("key", sorted(OPTION_TEXTS))
+def test_each_run_option_reads_alike_from_its_flag_and_the_config_file(tmp_path, key):
+    assert set(OPTION_TEXTS) == set(sitepick.cli._RUN_OPTIONS)
+    text, flag = OPTION_TEXTS[key]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {text}\n", encoding="utf-8")
+    parse = build_parser().parse_args
+    from_file = resolve_config(parse(["sweep", "s.csv", "--config", str(config)]))
+    argv = flag or ["--" + key.replace("_", "-"), text]
+    from_flag = resolve_config(parse(["sweep", "s.csv", *argv]))
+    assert from_file == from_flag != RunConfig(input="s.csv")
+
+
+@pytest.mark.parametrize(
+    "argv", [["weights", "s.csv"], ["sweep", "s.csv"], ["cluster", "s.csv", "--k", "3"]]
+)
+def test_every_run_option_has_a_flag(argv):
+    dests = set(vars(build_parser().parse_args(argv)))
+    expected = set(sitepick.cli._RUN_OPTIONS)
+    if argv[0] == "cluster":
+        assert not dests & {"k_min", "k_max"}
+        expected -= {"k_min", "k_max"}
+    assert expected <= dests
