@@ -2,13 +2,16 @@
 
 Subcommands:
   weights   parse a survey and report reliability weights and per-quadrant AUC
+            (of the run options it takes only --strict and --quadrant)
   sweep     full pipeline: sweep k per quadrant, pick the best, emit artifacts
   cluster   sweep at the one k given by --k (it takes no --k-min or --k-max)
   synth     generate a synthetic survey CSV for demos and tests
 
 Configuration is read from flags and, optionally, a key=value config file
-given with --config; flags win over the file. cluster --k K is sweep with
-k_min = k_max = K, whatever the file says. Environment variables are
+given with --config; flags win over the file. One file serves every command,
+though weights reads none of its sweep keys. cluster --k K is sweep with
+k_min = k_max = K, whatever the file says. Each setting is checked where it
+is read, the earth radius before the survey. Environment variables are
 deliberately never consulted, so a command line plus its files fully
 determines the run. Exit codes: 0 success, 2 bad configuration or usage
 (including a --config or --column-map file that is missing or not UTF-8
@@ -39,7 +42,7 @@ from .errors import (
     SweepError,
     ValidationError,
 )
-from .geo import EARTH_RADIUS_RANGE_KM, EarthModel
+from .geo import EARTH, EARTH_RADIUS_RANGE_KM, EarthModel
 from .io_pipeline import (
     ParseResult,
     Quadrant,
@@ -76,28 +79,14 @@ class RunConfig:
     k_min: int = 2
     k_max: Optional[int] = None  # None: floor(sqrt(n)) per quadrant
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    earth_radius_km: float = 6371.0
+    earth_radius_km: float = EARTH.radius_km
     strict: bool = False
     quadrants: tuple[str, ...] = _QUADRANT_CHOICES
     region_order: tuple[str, ...] = DEFAULT_REGION_ORDER
     workers: int = 1
 
     def validate(self) -> None:
-        if self.k_min < 2:
-            raise ConfigError(f"k_min must be >= 2, got {self.k_min}")
-        if self.k_max is not None and self.k_max < self.k_min:
-            raise ConfigError(f"k_max {self.k_max} is below k_min {self.k_min}")
-        if self.runs_per_k < 1:
-            raise ConfigError(f"runs_per_k must be >= 1, got {self.runs_per_k}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        low, high = EARTH_RADIUS_RANGE_KM
-        if not low <= self.earth_radius_km <= high:
-            raise ConfigError(
-                f"earth_radius_km must lie in [{low:g}, {high:g}], got {self.earth_radius_km}"
-            )
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        """Check the settings no library call checks; the library checks the rest."""
         if len(set(self.quadrants)) != len(self.quadrants):
             raise ConfigError("duplicate quadrant letters")
         for letter in self.quadrants:
@@ -133,8 +122,8 @@ _RUN_OPTIONS = {
     "k_min": (int, "smallest candidate k (default 2)"),
     "k_max": (int, "largest candidate k (default: floor(sqrt(n)) per quadrant)"),
     "max_iterations": (int, f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})"),
-    "earth_radius_km": (float, "sphere radius for distances, within [%g, %g] (default 6371)"
-                        % EARTH_RADIUS_RANGE_KM),
+    "earth_radius_km": (float, "sphere radius for distances, within [%g, %g] (default %g)"
+                        % (*EARTH_RADIUS_RANGE_KM, EARTH.radius_km)),
     "region_order": (_parse_list, "comma-separated region ordering for site tables"),
     "workers": (int, "processes for the sweep, at most one per (quadrant, k) cell and per "
                      "CPU; each holds one quadrant's 8*n*n-byte distance matrix at a time "
@@ -263,9 +252,9 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    metric = HaversineMetric(EarthModel(config.earth_radius_km))
     column_map = _load_column_map(args.column_map)
     data, parsed = _parse_survey(config, column_map)
-    metric = HaversineMetric(EarthModel(config.earth_radius_km))
     manifest = RunManifest(
         tool_version=__version__,
         input_digest=sha256_digest(data),
@@ -282,15 +271,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Phase 1: each selected quadrant's points and candidate ks (None when it
     # has no responses), so a k range that cannot be met fails before any sweep.
     jobs: list[tuple[Quadrant, QuadrantPoints, int, Optional[Sequence[int]]]] = []
-    k_min, k_max = config.k_min, config.k_max
     for letter in config.quadrants:
         quadrant = Quadrant.from_token(letter)
         points = build_weighted_points(parsed.responses, quadrant)
         n = len(points.responses)
-        try:
-            ks = candidate_ks(n, range(k_min, (k_max or default_k_max(n)) + 1)) if n else None
-        except SitepickError as exc:
-            raise type(exc)(f"{exc} (quadrant {letter})") from exc
+        ks = None
+        if n:
+            try:
+                top = default_k_max(n) if config.k_max is None else config.k_max
+                ks = candidate_ks(n, range(config.k_min, top + 1))
+            except SitepickError as exc:
+                raise type(exc)(f"{exc} (quadrant {letter})") from exc
         jobs.append((quadrant, points, n, ks))
     # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
     # quadrant by quadrant, the first failing sweep decides the error.
@@ -369,20 +360,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_run_options(parser: argparse.ArgumentParser, omit: Sequence[str] = ()) -> None:
+def _add_run_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
+    """The arguments every run command takes, and a flag for each of `keys`."""
     parser.add_argument("input", help="survey CSV file")
     parser.add_argument("-o", "--output-dir", default="sitepick_out",
                         help="directory for artifacts (default: %(default)s)")
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--column-map",
                         help="key=value file renaming canonical CSV columns to yours")
-    for key, (reader, help_text) in _RUN_OPTIONS.items():
+    for key in keys:
+        reader, help_text = _RUN_OPTIONS[key]
         if key == "strict":
             parser.add_argument("--strict", action="store_const", const=True, help=help_text)
         elif key == "quadrants":
             parser.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
                                 dest=key, metavar="LETTER", help=help_text)
-        elif key not in omit:
+        else:
             parser.add_argument("--" + key.replace("_", "-"), type=reader, help=help_text)
 
 
@@ -395,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     weights = commands.add_parser("weights", help="compute reliability weights and AUC")
-    _add_run_options(weights)
+    _add_run_options(weights, ("strict", "quadrants"))
     weights.set_defaults(handler=cmd_weights)
 
     cluster = commands.add_parser("cluster", help="cluster quadrants at a fixed k")
-    _add_run_options(cluster, omit=("k_min", "k_max"))
+    _add_run_options(cluster, [key for key in _RUN_OPTIONS if key not in ("k_min", "k_max")])
     cluster.add_argument("--k", type=int, required=True, help="number of clusters")
     cluster.set_defaults(handler=cmd_sweep)
 
     swp = commands.add_parser("sweep", help="sweep k, keep the best clustering per quadrant")
-    _add_run_options(swp)
+    _add_run_options(swp, _RUN_OPTIONS)
     swp.set_defaults(handler=cmd_sweep)
 
     synth = commands.add_parser("synth", help="generate a synthetic survey CSV")

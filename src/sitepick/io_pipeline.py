@@ -227,14 +227,20 @@ def parse_responses(
     diagnostics.
 
     column_map renames canonical columns to whatever the file actually uses
-    (e.g. {"latitude_deg": "lat"}); one that reads two canonical columns from
-    one file column is a ConfigError. A missing required column, or a column
-    read here that the header names twice, is a file-level ParseError.
+    (e.g. {"latitude_deg": "lat"}); a key that names no canonical column, or
+    two canonical columns read from one file column, is a ConfigError. A
+    missing required column, or a column read here that the header names
+    twice, is a file-level ParseError.
     Cell-level problems become diagnostics naming the row and the column as
     it appears in the file; with strict=True any diagnostic is escalated to a
     ParseError after the whole file is read.
     """
-    actual = {c: (column_map or {}).get(c, c) for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS}
+    columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+    column_map = column_map or {}
+    for key in column_map:
+        if key not in columns:
+            raise ConfigError(f"unknown column map key {key!r} (known: {', '.join(columns)})")
+    actual = {c: column_map.get(c, c) for c in columns}
     owner: dict = {}
     for canonical, name in actual.items():
         if owner.setdefault(name, canonical) != canonical:

@@ -313,8 +313,8 @@ def _sweep_result(per_k: "dict[int, Optional[KBest]]") -> SweepResult:
 
 def _pool_size(workers: int, cells: int, cpus: int) -> int:
     """Processes worth starting: no more than requested, than there are
-    (quadrant, k) cells to hand out, or than there are CPUs; at least one."""
-    return max(1, min(workers, cells, cpus))
+    (quadrant, k) cells to hand out, or than there are CPUs."""
+    return min(workers, cells, cpus)
 
 
 def sweep_quadrants(
@@ -329,14 +329,16 @@ def sweep_quadrants(
     settings shared, through at most one process pool for all their
     (quadrant, k) cells.
 
-    The call checks every quadrant, then runs every cell, and raises the
-    first error either finds. It returns an iterator over the quadrants'
-    SweepResults, in order; a quadrant whose runs were all degenerate raises
-    SweepError when the iterator reaches it.
+    The call checks runs_per_k >= 1, workers >= 1 and every quadrant, then
+    runs every cell, and raises the first error either finds. It returns an
+    iterator over the quadrants' SweepResults, in order; a quadrant whose
+    runs were all degenerate raises SweepError when the iterator reaches it.
     """
     global _QUADRANT
     if runs_per_k < 1:
         raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
     checked = [
         (coords, _checked_weights(coords, weights), candidate_ks(len(coords), k_range))
         for coords, weights, k_range in quadrants

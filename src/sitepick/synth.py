@@ -42,16 +42,16 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.blobs < 1 or self.per_blob < 1:
             raise ValidationError("blobs and per_blob must be >= 1")
-        if self.spread_km < 0.0 or self.ring_km <= 0.0:
-            raise ValidationError("spread_km must be >= 0 and ring_km > 0")
+        if not (0.0 <= self.spread_km < math.inf and 0.0 < self.ring_km < math.inf):
+            raise ValidationError("spread_km must be finite and >= 0, ring_km finite and > 0")
         if self.weight_law not in WEIGHT_LAWS:
             raise ValidationError(f"weight_law must be one of {WEIGHT_LAWS}")
         letters = tuple(q.letter for q in Quadrant)
         for letter in self.quadrants:
             if letter not in letters:
                 raise ValidationError(f"unknown quadrant letter {letter!r}")
-        if not -85.0 <= self.center_lat_deg <= 85.0:
-            raise ValidationError("center latitude must stay well clear of the poles")
+        if not (-85.0 <= self.center_lat_deg <= 85.0 and math.isfinite(self.center_lon_deg)):
+            raise ValidationError("center latitude must lie in [-85, 85] and longitude be finite")
 
 
 def _offset_deg(lat_deg: float, north_km: float, east_km: float) -> tuple[float, float]:

@@ -73,6 +73,18 @@ def test_synth_zero_spread_collapses_blobs(tmp_path):
     assert len(coords) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--spread-km", "nan"], ["--spread-km", "inf"], ["--ring-km", "inf"], ["--ring-km", "nan"],
+    ["--center-lon", "inf"], ["--center-lon", "nan"], ["--center-lat", "nan"],
+])
+def test_synth_rejects_a_coordinate_setting_that_is_not_finite(tmp_path, capsys, flags):
+    # Each used to exit 0 and write nan or inf coordinate cells.
+    target = tmp_path / "synth.csv"
+    assert main(["synth", "-o", str(target), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
 # --- weights ---
 
 
@@ -301,6 +313,46 @@ def test_cluster_k_below_two_is_usage_error(tmp_path):
     assert main(["cluster", str(survey), "-o", str(tmp_path / "o"), "--k", "1"]) == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--runs-per-k", "0"], "runs_per_k must be >= 1, got 0"),
+    (["--max-iterations", "0"], "max_iterations must be >= 1, got 0"),
+    (["--workers", "0"], "workers must be >= 1, got 0"),
+    (["--k-min", "1"], "candidate k values must lie in [2, 4], got [1, 2] (quadrant A)"),
+    (["--k-min", "5", "--k-max", "3"], "no candidate k values to sweep (quadrant A)"),
+    (["--k-max", "0"], "no candidate k values to sweep (quadrant A)"),
+    (["--earth-radius-km", "1e160"], "earth radius must lie in [1e-100, 1e+100] km, got 1e+160"),
+])
+def test_a_bad_sweep_setting_fails_in_the_library_call_that_reads_it(
+    tmp_path, capsys, flags, message
+):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "o"
+    assert main(["sweep", str(survey), "-o", str(out), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_a_malformed_strict_survey_fails_before_a_bad_sweep_setting(tmp_path):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS + ["p5,A,East,95,103.9,1 to 3,5"])
+    out = tmp_path / "o"
+    assert main(["sweep", str(survey), "-o", str(out), "--strict", "--runs-per-k", "0"]) == 3
+    assert not out.exists()
+
+
+def test_weights_takes_only_the_options_it_reads(tmp_path, capsys):
+    args = vars(build_parser().parse_args(["weights", "s.csv"]))
+    assert set(args) - {"command", "handler"} == {
+        "input", "output_dir", "config", "column_map", "strict", "quadrants"
+    }
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["weights", str(survey), "-o", str(out), "--runs-per-k", "3"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --runs-per-k 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--k-min", "--k-max"])
 @pytest.mark.parametrize("value", ["1", "5"])
 def test_cluster_takes_no_k_range_flags(tmp_path, capsys, flag, value):
@@ -387,6 +439,19 @@ def test_a_column_map_reading_one_column_twice_is_a_usage_error(tmp_path, capsys
     assert capsys.readouterr().err == (
         "error: column map reads 'latitude_deg' and 'longitude_deg' from 'longitude_deg'\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["weights"], ["cluster", "--k", "2"]])
+def test_a_column_map_key_that_names_no_column_is_a_usage_error(tmp_path, capsys, command):
+    # A typo for latitude_deg used to be ignored, and the run exited 0.
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    column_map = tmp_path / "columns.txt"
+    column_map.write_text("latitude = lat\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command[0], str(survey), "-o", str(out), *command[1:],
+                 "--column-map", str(column_map)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown column map key 'latitude' (known: ")
     assert not out.exists()
 
 
@@ -509,7 +574,7 @@ def test_earth_radius_is_checked_against_its_range(tmp_path, capsys, radius, cod
         warnings.simplefilter("error")
         assert main(argv + [str(tmp_path / "out"), "--earth-radius-km", radius]) == code
     if code:
-        assert "earth_radius_km must lie in [1e-100, 1e+100]" in capsys.readouterr().err
+        assert "earth radius must lie in [1e-100, 1e+100] km" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
     else:
         assert _dunn_curve_without_km(tmp_path / "out") == _dunn_curve_without_km(tmp_path / "earth")
@@ -797,17 +862,13 @@ def test_version_flag():
 
 def test_run_config_validate():
     with pytest.raises(ConfigError):
-        RunConfig(k_min=1).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(k_min=4, k_max=3).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(workers=0).validate()
-    with pytest.raises(ConfigError):
         RunConfig(quadrants=("A", "A")).validate()
     with pytest.raises(ConfigError):
         RunConfig(quadrants=("Z",)).validate()
     with pytest.raises(ConfigError):
         RunConfig(quadrants=()).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(region_order=()).validate()
     RunConfig().validate()
 
 
@@ -890,6 +951,7 @@ def test_every_run_option_has_a_flag(argv):
     dests = set(vars(build_parser().parse_args(argv)))
     expected = set(sitepick.cli._RUN_OPTIONS)
     if argv[0] == "cluster":
-        assert not dests & {"k_min", "k_max"}
         expected -= {"k_min", "k_max"}
-    assert expected <= dests
+    elif argv[0] == "weights":
+        expected = {"strict", "quadrants"}
+    assert dests & set(sitepick.cli._RUN_OPTIONS) == expected

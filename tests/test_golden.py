@@ -113,7 +113,25 @@ def test_serial_command_artifact_digests(tmp_path, command):
     survey = tmp_path / "survey.csv"
     survey.write_bytes(synthetic_csv(spec))
     out = tmp_path / "out"
+    if argv[0] == "weights":
+        flags = []  # weights takes none of the sweep flags
     assert main([argv[0], str(survey), "-o", str(out)] + argv[1:] + flags) == 0
+    assert digests(out) == expected
+
+
+def test_weights_reads_no_sweep_setting_of_its_config_file(tmp_path):
+    # One config file serves every command; weights parses its sweep keys
+    # but reads none of them, so values a sweep rejects change nothing.
+    spec, _, _ = CASES["serial"]
+    _, expected = SERIAL_COMMANDS["weights"]
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(synthetic_csv(spec))
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "runs_per_k = 0\nk_min = 1\nworkers = 0\nearth_radius_km = 1e300\n", encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    assert main(["weights", str(survey), "-o", str(out), "--config", str(config)]) == 0
     assert digests(out) == expected
 
 

@@ -236,6 +236,12 @@ def test_parse_rejects_a_column_map_that_reads_one_column_twice(column_map, mess
         parse(SIX_ROWS, column_map=column_map)
 
 
+@pytest.mark.parametrize("key", ["latitude", "cadnce", "Latitude_deg"])
+def test_parse_rejects_a_column_map_key_that_names_no_column(key):
+    with pytest.raises(ConfigError, match=f"unknown column map key {key!r} "):
+        parse(SIX_ROWS, column_map={key: "latitude_deg"})
+
+
 def test_parse_strict_escalates_after_full_read():
     rows = HEADER + "\np1,A,CBD,91.0,103.0,1 to 3,5\n"
     with pytest.raises(ParseError, match="strict"):

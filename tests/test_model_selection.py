@@ -392,7 +392,6 @@ def test_pool_size_clamps_to_cells_and_cpus():
     assert _pool_size(10**9, 3, 8) == 3
     assert _pool_size(4, 1, 8) == 1
     assert _pool_size(4, 37, 1) == 1
-    assert _pool_size(0, 37, 8) == 1
 
 
 @pytest.mark.parametrize(
@@ -792,6 +791,20 @@ def test_sweep_rejects_bad_arguments():
         sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS[:-1], k_range=[2])
     with pytest.raises(ValidationError):
         sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, workers):
+    started = []  # every pool or matrix the call begins to build
+
+    def record(*args, **kwargs):
+        started.append((args, kwargs))
+
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
+    with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+        sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3], workers=workers)
+    assert started == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
