@@ -2,11 +2,13 @@
 """End-to-end demo on synthetic data, no input files needed.
 
 Generates a survey of Gaussian blobs on a ring, weights the responses,
-sweeps the cluster count for every quadrant and prints what the pipeline
-recovered. With blobs well apart the optimal k should equal --blobs.
+sweeps the cluster count for every quadrant and checks what the pipeline
+recovered: it exits 1 unless every quadrant's optimal k equals --blobs,
+which it should with blobs well apart.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -50,11 +52,19 @@ def run(argv=None):
             str(args.seed),
         ]
     )
-    if code == 0:
-        print(f"artifacts in {out}/ (clusters_*.geojson, sites_*.csv, "
-              f"dunn_curve_*.csv, manifest.json)")
-        print(f"expected k per quadrant: {args.blobs}")
-    return code
+    if code != 0:
+        return code
+    print(f"artifacts in {out}/ (clusters_*.geojson, sites_*.csv, "
+          f"dunn_curve_*.csv, manifest.json)")
+    quadrants = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["quadrants"]
+    missed = {letter: q["optimal_k"] for letter, q in quadrants.items()
+              if q["optimal_k"] != args.blobs}
+    if missed:
+        print(f"error: expected k = {args.blobs} in every quadrant, got {missed}",
+              file=sys.stderr)
+        return 1
+    print(f"recovered k = {args.blobs} in quadrants {', '.join(quadrants)}")
+    return 0
 
 
 if __name__ == "__main__":

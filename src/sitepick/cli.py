@@ -10,8 +10,11 @@ Subcommands:
 Configuration is read from flags and, optionally, a key=value config file
 given with --config; flags win over the file. One file serves every command,
 though weights reads none of its sweep keys. cluster --k K is sweep with
-k_min = k_max = K, whatever the file says. Each setting is checked where it
-is read, the earth radius before the survey. Environment variables are
+k_min = k_max = K, whatever the file says. A quadrant list, from --quadrant
+or the quadrants key, goes through Quadrant.from_tokens: each token as a CSV
+cell takes it, at least one and none twice. Each other setting is checked
+where it is read: the earth radius and region_order by sweep and cluster,
+before the survey. Environment variables are
 deliberately never consulted, so a command line plus its files fully
 determines the run. Exit codes: 0 success, 2 bad configuration or usage
 (including a --config or --column-map file that is missing or not UTF-8
@@ -65,8 +68,6 @@ from .sites import DEFAULT_REGION_ORDER, assign_site_ids, select_representatives
 from .synth import WEIGHT_LAWS, SynthSpec, synthetic_csv
 from .weighting import FrequencyCategory, frequency_weight, reliability_auc, reliability_weight
 
-_QUADRANT_CHOICES = tuple(q.letter for q in Quadrant)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,21 +82,9 @@ class RunConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     earth_radius_km: float = EARTH.radius_km
     strict: bool = False
-    quadrants: tuple[str, ...] = _QUADRANT_CHOICES
+    quadrants: tuple[Quadrant, ...] = tuple(Quadrant)
     region_order: tuple[str, ...] = DEFAULT_REGION_ORDER
     workers: int = 1
-
-    def validate(self) -> None:
-        """Check the settings no library call checks; the library checks the rest."""
-        if len(set(self.quadrants)) != len(self.quadrants):
-            raise ConfigError("duplicate quadrant letters")
-        for letter in self.quadrants:
-            if letter not in _QUADRANT_CHOICES:
-                raise ConfigError(f"unknown quadrant letter {letter!r}")
-        if not self.quadrants:
-            raise ConfigError("quadrants must name at least one quadrant")
-        if not self.region_order:
-            raise ConfigError("region_order must name at least one region")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -113,10 +102,11 @@ def _parse_list(raw: str) -> tuple[str, ...]:
 
 # Each run option once: config key -> (text reader, flag help), in --help order.
 # Its flag is --key-with-dashes, except --strict (no value) and --quadrant.
+_QUADRANT_HELP = "a letter or label, as in the CSV's quadrant column (repeatable; default all)"
 _RUN_OPTIONS = {
     "strict": (_parse_bool, "treat any row diagnostic as a fatal parse error"),
-    "quadrants": (lambda raw: tuple(part.upper() for part in _parse_list(raw)),
-                  "quadrant letter to process (repeatable; default all)"),
+    "quadrants": (lambda raw: Quadrant.from_tokens(_parse_list(raw)),
+                  "quadrant to process: " + _QUADRANT_HELP),
     "base_seed": (int, "seed all runs derive from (default 0)"),
     "runs_per_k": (int, f"restarts per candidate k (default {DEFAULT_RUNS_PER_K})"),
     "k_min": (int, "smallest candidate k (default 2)"),
@@ -154,10 +144,10 @@ def load_config_file(path: "str | Path") -> RunConfig:
             raise ConfigError(f"unknown config key {key!r} (known: {known})")
         try:
             fields[key] = _RUN_OPTIONS[key][0](raw)
+        except SitepickError as exc:
+            raise ConfigError(f"config key {key}: {exc}") from None
         except ValueError:
             raise ConfigError(f"config key {key}: could not parse {raw!r}") from None
-        except ConfigError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
     return RunConfig(**fields)
 
 
@@ -170,12 +160,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name in ("input", "output_dir", *_RUN_OPTIONS):
         value = getattr(args, name, None)
         if value is not None:
-            overrides[name] = tuple(value) if name == "quadrants" else value
+            overrides[name] = Quadrant.from_tokens(value) if name == "quadrants" else value
     if getattr(args, "k", None) is not None:
         overrides["k_min"] = overrides["k_max"] = args.k
-    config = replace(config, **overrides)
-    config.validate()
-    return config
+    return replace(config, **overrides)
 
 
 def _load_column_map(path: "str | None") -> "dict[str, str] | None":
@@ -228,8 +216,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
     factor_by_id = {id(category): frequency_weight(category) for category in FrequencyCategory}
     source_rows, participants, regions = parsed.rows, parsed.participant_ids, parsed.regions
     categories, durations = parsed.categories, parsed.durations_min
-    for letter in config.quadrants:
-        quadrant = Quadrant.from_token(letter)
+    for quadrant in config.quadrants:
+        letter = quadrant.letter
         weights: list[float] = []
         for i in [i for i, q in enumerate(parsed.quadrants) if q is quadrant]:
             factor = factor_by_id[id(categories[i])]
@@ -253,6 +241,8 @@ def cmd_weights(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     metric = HaversineMetric(EarthModel(config.earth_radius_km))
+    if not config.region_order:
+        raise ConfigError("region_order must name at least one region")
     column_map = _load_column_map(args.column_map)
     data, parsed = _parse_survey(config, column_map)
     manifest = RunManifest(
@@ -271,8 +261,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Phase 1: each selected quadrant's points and candidate ks (None when it
     # has no responses), so a k range that cannot be met fails before any sweep.
     jobs: list[tuple[Quadrant, QuadrantPoints, int, Optional[Sequence[int]]]] = []
-    for letter in config.quadrants:
-        quadrant = Quadrant.from_token(letter)
+    for quadrant in config.quadrants:
         points = build_weighted_points(parsed.responses, quadrant)
         n = len(points.responses)
         ks = None
@@ -281,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 top = default_k_max(n) if config.k_max is None else config.k_max
                 ks = candidate_ks(n, range(config.k_min, top + 1))
             except SitepickError as exc:
-                raise type(exc)(f"{exc} (quadrant {letter})") from exc
+                raise type(exc)(f"{exc} (quadrant {quadrant.letter})") from exc
         jobs.append((quadrant, points, n, ks))
     # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
     # quadrant by quadrant, the first failing sweep decides the error.
@@ -349,7 +338,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         center_lat_deg=args.center_lat,
         center_lon_deg=args.center_lon,
         weight_law=args.weight_law,
-        quadrants=tuple(args.quadrant) if args.quadrant else _QUADRANT_CHOICES,
+        quadrants=tuple(args.quadrant) if args.quadrant else SynthSpec.quadrants,
         seed=args.seed,
     )
     payload = synthetic_csv(spec)
@@ -373,8 +362,8 @@ def _add_run_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> No
         if key == "strict":
             parser.add_argument("--strict", action="store_const", const=True, help=help_text)
         elif key == "quadrants":
-            parser.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
-                                dest=key, metavar="LETTER", help=help_text)
+            parser.add_argument("--quadrant", action="append", dest=key, metavar="QUADRANT",
+                                help=help_text)
         else:
             parser.add_argument("--" + key.replace("_", "-"), type=reader, help=help_text)
 
@@ -403,19 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser("synth", help="generate a synthetic survey CSV")
     synth.add_argument("-o", "--output", default="synthetic_survey.csv",
                        help="output CSV path (default: %(default)s)")
-    synth.add_argument("--blobs", type=int, default=4, help="blobs per quadrant")
-    synth.add_argument("--per-blob", type=int, default=12, help="points per blob")
-    synth.add_argument("--spread-km", type=float, default=1.0,
+    synth.add_argument("--blobs", type=int, default=SynthSpec.blobs, help="blobs per quadrant")
+    synth.add_argument("--per-blob", type=int, default=SynthSpec.per_blob, help="points per blob")
+    synth.add_argument("--spread-km", type=float, default=SynthSpec.spread_km,
                        help="Gaussian spread of each blob in km")
-    synth.add_argument("--ring-km", type=float, default=20.0,
+    synth.add_argument("--ring-km", type=float, default=SynthSpec.ring_km,
                        help="radius of the ring blobs are placed on")
-    synth.add_argument("--center-lat", type=float, default=1.3521)
-    synth.add_argument("--center-lon", type=float, default=103.8198)
-    synth.add_argument("--weight-law", choices=WEIGHT_LAWS, default="uniform",
+    synth.add_argument("--center-lat", type=float, default=SynthSpec.center_lat_deg)
+    synth.add_argument("--center-lon", type=float, default=SynthSpec.center_lon_deg)
+    synth.add_argument("--weight-law", choices=WEIGHT_LAWS, default=SynthSpec.weight_law,
                        help="how visit counts and durations are drawn")
-    synth.add_argument("--quadrant", action="append", choices=_QUADRANT_CHOICES,
-                       metavar="LETTER", help="quadrant to generate (repeatable; default all)")
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--quadrant", action="append",
+                       help="quadrant to generate: " + _QUADRANT_HELP)
+    synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     synth.set_defaults(handler=cmd_synth)
     return parser
 

@@ -445,7 +445,8 @@ def _kmeans_batch(
     max_iterations: int,
 ) -> "list[tuple[np.ndarray, np.ndarray, int, bool]]":
     """(centers, labels, iterations, converged) of one seeded run per seed, in
-    seed order; `matrix` is `_distance_matrix(coords, metric)`.
+    seed order; `matrix` is `_distance_matrix(coords, metric)`, and callers
+    check max_iterations >= 1.
 
     Runs go through seeding, assignment and center update together, in
     batches of at most _BATCH_ELEMENTS // (n * k) runs. A run that empties a
@@ -453,8 +454,6 @@ def _kmeans_batch(
     when its labels, repaired or not, equal those of its previous pass, so
     each result is bitwise what the run gives alone.
     """
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     n = coords.shape[0]
     size = max(1, _BATCH_ELEMENTS // (n * k))
     assign = metric.assigner(coords, min(size, len(seeds)), k)
@@ -508,6 +507,8 @@ def kmeans(
     n = len(coords)
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     ((centers, labels, iterations, converged),) = _kmeans_batch(
         _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )

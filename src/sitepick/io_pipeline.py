@@ -55,6 +55,18 @@ class Quadrant(enum.Enum):
             raise ValidationError(f"unknown quadrant {token!r}")
         return quadrant
 
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[str]) -> "tuple[Quadrant, ...]":
+        """Resolve a list of quadrants, each token as `from_token` takes it;
+        the list must name at least one quadrant and none twice."""
+        quadrants = tuple(map(cls.from_token, tokens))
+        if not quadrants:
+            raise ValidationError("quadrants must name at least one quadrant")
+        for i, quadrant in enumerate(quadrants):
+            if quadrant in quadrants[:i]:
+                raise ValidationError(f"quadrant {quadrant.letter} is named twice")
+        return quadrants
+
 
 _QUADRANT_BY_TOKEN = {
     token: quadrant for quadrant in Quadrant for token in (quadrant.letter.casefold(), quadrant.label)

@@ -329,7 +329,8 @@ def sweep_quadrants(
     settings shared, through at most one process pool for all their
     (quadrant, k) cells.
 
-    The call checks runs_per_k >= 1, workers >= 1 and every quadrant, then
+    The call checks runs_per_k >= 1, max_iterations >= 1, workers >= 1 and
+    every quadrant before it starts a pool or builds a matrix, then
     runs every cell, and raises the first error either finds. It returns an
     iterator over the quadrants' SweepResults, in order; a quadrant whose
     runs were all degenerate raises SweepError when the iterator reaches it.
@@ -337,6 +338,8 @@ def sweep_quadrants(
     global _QUADRANT
     if runs_per_k < 1:
         raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
+    if max_iterations < 1:
+        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     checked = [

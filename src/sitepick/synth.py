@@ -46,10 +46,7 @@ class SynthSpec:
             raise ValidationError("spread_km must be finite and >= 0, ring_km finite and > 0")
         if self.weight_law not in WEIGHT_LAWS:
             raise ValidationError(f"weight_law must be one of {WEIGHT_LAWS}")
-        letters = tuple(q.letter for q in Quadrant)
-        for letter in self.quadrants:
-            if letter not in letters:
-                raise ValidationError(f"unknown quadrant letter {letter!r}")
+        Quadrant.from_tokens(self.quadrants)
         if not (-85.0 <= self.center_lat_deg <= 85.0 and math.isfinite(self.center_lon_deg)):
             raise ValidationError("center latitude must lie in [-85, 85] and longitude be finite")
 
@@ -76,7 +73,7 @@ def _visit_profile(law: str, rng: SplitMix64) -> tuple[FrequencyCategory, float]
 def synthetic_rows(spec: SynthSpec) -> "list[dict[str, str]]":
     """Row dictionaries keyed by the canonical CSV column names."""
     rows: list[dict[str, str]] = []
-    quadrants = [Quadrant.from_token(letter) for letter in spec.quadrants]
+    quadrants = Quadrant.from_tokens(spec.quadrants)
     for q_index, quadrant in enumerate(quadrants):
         rotation = 2.0 * math.pi * q_index / (len(quadrants) * spec.blobs)
         for blob in range(spec.blobs):

@@ -13,8 +13,8 @@ import sitepick.cli
 import sitepick.io_pipeline
 import sitepick.model_selection
 from sitepick.cli import RunConfig, build_parser, load_config_file, main, resolve_config
-from sitepick.errors import ConfigError, EmptyClusterError
-from sitepick.io_pipeline import parse_responses
+from sitepick.errors import EmptyClusterError
+from sitepick.io_pipeline import Quadrant, parse_responses
 
 HEADER = (
     "participant_id,quadrant,region,latitude_deg,longitude_deg,"
@@ -85,6 +85,16 @@ def test_synth_rejects_a_coordinate_setting_that_is_not_finite(tmp_path, capsys,
     assert not target.exists()
 
 
+@pytest.mark.parametrize("second", ["A", "a"])
+def test_synth_rejects_a_repeated_quadrant(tmp_path, capsys, second):
+    # Each used to exit 0 and write quadrant A's rows twice.
+    target = tmp_path / "synth.csv"
+    argv = ["synth", "-o", str(target), "--blobs", "2", "--per-blob", "2"]
+    assert main(argv + ["--quadrant", "A", "--quadrant", second]) == 2
+    assert capsys.readouterr() == ("", "error: quadrant A is named twice\n")
+    assert not target.exists()
+
+
 # --- weights ---
 
 
@@ -110,6 +120,17 @@ def test_weights_zero_duration_floor(tmp_path):
     assert main(["weights", str(survey), "-o", str(out), "--quadrant", "B"]) == 0
     auc_lines = (out / "auc_summary.csv").read_text().splitlines()
     assert auc_lines[1] == "B,chaotic and restless,2,0.500000000000"
+
+
+@pytest.mark.parametrize("token", ["c", "Calm and  Tranquil"])
+def test_a_quadrant_flag_takes_what_a_csv_cell_takes(tmp_path, token):
+    rows = [row.replace(",A,", ",C,") for row in TWO_REGION_ROWS]
+    survey = write_survey(tmp_path, rows + ["p5,B,CBD,1.3,103.8,1 to 3,5"])
+    by_letter, by_token = tmp_path / "letter", tmp_path / "token"
+    assert main(["weights", str(survey), "-o", str(by_letter), "--quadrant", "C"]) == 0
+    assert main(["weights", str(survey), "-o", str(by_token), "--quadrant", token]) == 0
+    for name in ("weights.csv", "auc_summary.csv"):
+        assert (by_token / name).read_bytes() == (by_letter / name).read_bytes()
 
 
 def test_weights_csv_quotes_fields_that_need_it(tmp_path):
@@ -846,8 +867,26 @@ def test_an_empty_quadrant_list_is_a_usage_error(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, str(survey), "-o", str(out), "--config", str(config)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: quadrants must name at least one quadrant\n"
+    assert captured.err == (
+        "error: config key quadrants: quadrants must name at least one quadrant\n"
+    )
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["weights", "sweep"])
+@pytest.mark.parametrize("source, prefix", [
+    (["--quadrant", "B", "--quadrant", "b"], ""),
+    (["--config", "run.cfg"], "config key quadrants: "),
+])
+def test_a_repeated_quadrant_is_a_usage_error(tmp_path, capsys, monkeypatch, command,
+                                              source, prefix):
+    monkeypatch.chdir(tmp_path)
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    (tmp_path / "run.cfg").write_text("quadrants = B, chaotic and restless\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, str(survey), "-o", str(out), *source]) == 2
+    assert capsys.readouterr() == ("", f"error: {prefix}quadrant B is named twice\n")
     assert not out.exists()
 
 
@@ -858,18 +897,6 @@ def test_version_flag():
 
 
 # --- config plumbing details ---
-
-
-def test_run_config_validate():
-    with pytest.raises(ConfigError):
-        RunConfig(quadrants=("A", "A")).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(quadrants=("Z",)).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(quadrants=()).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(region_order=()).validate()
-    RunConfig().validate()
 
 
 def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
@@ -884,7 +911,7 @@ def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
                                      "--region-order", "West, East",
                                      "--quadrant", "A", "--quadrant", "C"]))
     assert resolved.region_order == ("West", "East")
-    assert resolved.quadrants == ("A", "C")
+    assert resolved.quadrants == (Quadrant.FULL_OF_LIFE_EXCITING, Quadrant.CALM_TRANQUIL)
     assert resolved.strict is True
 
 
@@ -911,7 +938,7 @@ def test_load_config_file_parses_every_knob(tmp_path):
     assert loaded.base_seed == 3
     assert loaded.k_max == 6
     assert loaded.strict is True
-    assert loaded.quadrants == ("A", "C")
+    assert loaded.quadrants == (Quadrant.FULL_OF_LIFE_EXCITING, Quadrant.CALM_TRANQUIL)
     assert loaded.region_order == ("West", "East")
     assert loaded.workers == 2
 

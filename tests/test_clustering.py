@@ -614,6 +614,14 @@ def test_kmeans_rejects_bad_input():
         kmeans(GROUPED, GROUPED_WEIGHTS, k=2, max_iterations=0)
 
 
+def test_kmeans_rejects_max_iterations_below_one_before_its_matrix(monkeypatch):
+    started = []
+    monkeypatch.setattr(clustering, "_distance_matrix", lambda *args: started.append(args))
+    with pytest.raises(ValidationError, match="max_iterations must be >= 1, got 0"):
+        kmeans(GROUPED, GROUPED_WEIGHTS, k=2, max_iterations=0)
+    assert started == []
+
+
 def _not_finite_n_by_2_floats(coords):
     """Ways to pass an (n, 2) float64 radian array wrongly, with n rows kept."""
     nan = coords.copy()

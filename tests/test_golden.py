@@ -135,6 +135,25 @@ def test_weights_reads_no_sweep_setting_of_its_config_file(tmp_path):
     assert digests(out) == expected
 
 
+def test_only_sweep_and_cluster_read_region_order(tmp_path, capsys):
+    spec, _, _ = CASES["serial"]
+    _, expected = SERIAL_COMMANDS["weights"]
+    survey = tmp_path / "survey.csv"
+    survey.write_bytes(synthetic_csv(spec))
+    config = tmp_path / "run.cfg"
+    config.write_text("region_order =\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["weights", str(survey), "-o", str(out), "--config", str(config)]) == 0
+    assert digests(out) == expected
+    capsys.readouterr()
+    for argv in (["sweep"], ["cluster", "--k", "3"]):
+        swept = tmp_path / argv[0]
+        assert main([argv[0], str(survey), "-o", str(swept), "--config", str(config),
+                     *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", "error: region_order must name at least one region\n")
+        assert not swept.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_paper_scale_sweep_digests(tmp_path, workers):
     spec, expected = PAPER_SCALE

@@ -96,6 +96,25 @@ def test_parse_quadrant_tokens_are_flexible():
     ]
 
 
+def test_a_quadrant_list_takes_each_token_as_a_csv_cell_does():
+    assert Quadrant.from_tokens(["c", " Full of  LIFE and exciting", "B"]) == (
+        Quadrant.CALM_TRANQUIL, Quadrant.FULL_OF_LIFE_EXCITING, Quadrant.CHAOTIC_RESTLESS
+    )
+
+
+@pytest.mark.parametrize("tokens, message", [
+    (["A", "E"], "unknown quadrant 'E'"),
+    ([], "quadrants must name at least one quadrant"),
+    (["A", "A"], "quadrant A is named twice"),
+    (["A", "a"], "quadrant A is named twice"),
+    (["C", "calm and tranquil"], "quadrant C is named twice"),
+])
+def test_a_quadrant_list_that_is_empty_or_names_a_quadrant_twice_is_rejected(tokens, message):
+    with pytest.raises(ValidationError) as excinfo:
+        Quadrant.from_tokens(tokens)
+    assert str(excinfo.value) == message
+
+
 def test_parse_category_tokens_are_flexible():
     rows = "\n".join(
         [

@@ -808,13 +808,20 @@ def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, 
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_rejects_max_iterations_below_one(monkeypatch, workers):
-    # The check runs in `_kmeans_batch`, so with two workers it fires inside
-    # the pool, which two allowed CPUs let the sweep start.
+def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(monkeypatch, workers):
+    started = []  # every pool or matrix the call begins to build
+
+    def record(*args, **kwargs):
+        started.append((args, kwargs))
+
+    # Two allowed CPUs would let two workers start a pool for the two cells.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
     coords = coords_array(FOUR_PAIR_POINTS)
-    with pytest.raises(ValidationError, match="max_iterations"):
+    with pytest.raises(ValidationError, match="max_iterations must be >= 1, got 0"):
         sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], max_iterations=0, workers=workers)
+    assert started == []
 
 
 def _not_finite_n_by_2_floats(coords):
