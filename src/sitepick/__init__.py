@@ -34,7 +34,6 @@ from .io_pipeline import (
     QuadrantPoints,
     QuadrantSummary,
     RowDiagnostic,
-    RunManifest,
     SurveyResponse,
     build_weighted_points,
     export_dunn_curve,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -51,11 +51,11 @@ from .io_pipeline import (
     Quadrant,
     QuadrantPoints,
     QuadrantSummary,
-    RunManifest,
     build_weighted_points,
     csv_field,
     export_dunn_curve,
     export_geojson,
+    export_manifest,
     export_site_table,
     parse_key_values,
     parse_responses,
@@ -85,6 +85,14 @@ class RunConfig:
     quadrants: tuple[Quadrant, ...] = tuple(Quadrant)
     region_order: tuple[str, ...] = DEFAULT_REGION_ORDER
     workers: int = 1
+
+
+# manifest.json records every RunConfig field but these, which change no
+# artifact byte: the two paths, and workers (acceptance criterion 6 pins that
+# artifacts do not depend on it). quadrants is recorded as the per-quadrant
+# summaries. A new field that changes no byte, such as an output path for run
+# stats or a memory budget, belongs here too.
+_UNRECORDED = ("input", "output_dir", "workers", "quadrants")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -245,22 +253,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("region_order must name at least one region")
     column_map = _load_column_map(args.column_map)
     data, parsed = _parse_survey(config, column_map)
-    manifest = RunManifest(
-        tool_version=__version__,
-        input_digest=sha256_digest(data),
-        base_seed=config.base_seed,
-        k_min=config.k_min,
-        k_max=config.k_max,
-        runs_per_k=config.runs_per_k,
-        max_iterations=config.max_iterations,
-        earth_radius_km=config.earth_radius_km,
-        strict=config.strict,
-        column_map=column_map,
-        region_order=config.region_order,
-    )
     # Phase 1: each selected quadrant's points and candidate ks (None when it
     # has no responses), so a k range that cannot be met fails before any sweep.
-    jobs: list[tuple[Quadrant, QuadrantPoints, int, Optional[Sequence[int]]]] = []
+    jobs: list[tuple[Quadrant, QuadrantPoints, Optional[Sequence[int]]]] = []
     for quadrant in config.quadrants:
         points = build_weighted_points(parsed.responses, quadrant)
         n = len(points.responses)
@@ -271,13 +266,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ks = candidate_ks(n, range(config.k_min, top + 1))
             except SitepickError as exc:
                 raise type(exc)(f"{exc} (quadrant {quadrant.letter})") from exc
-        jobs.append((quadrant, points, n, ks))
+        jobs.append((quadrant, points, ks))
     # Phase 2: one sweep over the (quadrant, k) cells of every quadrant, then
     # quadrant by quadrant, the first failing sweep decides the error.
     # Artifacts are rendered in full before anything is written, so a
     # quadrant that fails leaves no artifacts of the quadrants before it.
     results = sweep(
-        [(points.coords, points.weights, ks) for _, points, _, ks in jobs if ks is not None],
+        [(points.coords, points.weights, ks) for _, points, ks in jobs if ks is not None],
         runs_per_k=config.runs_per_k,
         base_seed=config.base_seed,
         metric=metric,
@@ -285,8 +280,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=config.workers,
     )
     artifacts: list[tuple[str, bytes]] = []
-    for quadrant, points, n, ks in jobs:
-        letter = quadrant.letter
+    summaries: dict[str, QuadrantSummary] = {}
+    for quadrant, points, ks in jobs:
+        letter, n = quadrant.letter, len(points.responses)
         if ks is None:
             print(f"quadrant {letter} ({quadrant.label}): no responses, skipped", file=sys.stderr)
             continue
@@ -308,7 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not best.converged:
             print(f"warning: quadrant {letter}: best run at k={swept.optimal_k} stopped at "
                   f"max_iterations={config.max_iterations} without converging", file=sys.stderr)
-        manifest.quadrants[letter] = QuadrantSummary(
+        summaries[letter] = QuadrantSummary(
             label=quadrant.label,
             n_points=n,
             auc=auc,
@@ -323,9 +319,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"quadrant {letter} ({quadrant.label}): n={n} auc={auc:.4f} "
             f"k={swept.optimal_k} dunn={best.dunn.value:.4f} sites={len(sites)}"
         )
-    if not manifest.quadrants:
+    if not summaries:
         raise ConfigError("no selected quadrant had any responses")
-    _write(Path(config.output_dir), artifacts + [("manifest.json", manifest.to_json())])
+    settings = {key: value for key, value in asdict(config).items() if key not in _UNRECORDED}
+    settings.update(tool_version=__version__, input_digest=sha256_digest(data),
+                    column_map=column_map)
+    manifest = export_manifest(settings, summaries)
+    _write(Path(config.output_dir), artifacts + [("manifest.json", manifest)])
     return 0
 
 

@@ -533,26 +533,11 @@ class QuadrantSummary:
     sites: int
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce a run's numeric outputs exactly,
-    minus the input itself (recorded as a digest). Deliberately contains
-    no timestamps, hostnames or paths."""
-
-    tool_version: str
-    input_digest: str
-    base_seed: int
-    k_min: int
-    k_max: Optional[int]
-    runs_per_k: int
-    max_iterations: int
-    earth_radius_km: float
-    strict: bool
-    column_map: Optional["dict[str, str]"]
-    region_order: tuple[str, ...]
-    quadrants: "dict[str, QuadrantSummary]" = field(default_factory=dict)
-
-    def to_json(self) -> bytes:
-        payload = asdict(self)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        return (text + "\n").encode("utf-8")
+def export_manifest(
+    settings: "Mapping[str, object]", quadrants: "Mapping[str, QuadrantSummary]"
+) -> bytes:
+    """manifest.json: the run's settings, with each quadrant's summary under
+    "quadrants", as JSON with sorted keys. The caller leaves out timestamps,
+    hostnames, paths and anything else that changes no artifact byte."""
+    payload = {**settings, "quadrants": {letter: asdict(s) for letter, s in quadrants.items()}}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")

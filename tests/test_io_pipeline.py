@@ -20,12 +20,12 @@ from sitepick.geo import coords_array, from_degrees
 from sitepick.io_pipeline import (
     Quadrant,
     QuadrantSummary,
-    RunManifest,
     SurveyResponse,
     _lines,
     build_weighted_points,
     export_dunn_curve,
     export_geojson,
+    export_manifest,
     export_site_table,
     parse_key_values,
     parse_responses,
@@ -583,43 +583,31 @@ def test_export_dunn_curve_leaves_degenerate_rows_empty():
     assert len(lines[1].split(",")) == 6
 
 
-def test_manifest_json_is_deterministic_and_complete():
-    manifest = RunManifest(
-        tool_version="0.1.0",
-        input_digest=sha256_digest(b"abc"),
-        base_seed=0,
-        k_min=2,
-        k_max=None,
-        runs_per_k=100,
-        max_iterations=300,
-        earth_radius_km=6371.0,
-        strict=False,
-        column_map=None,
-        region_order=("CBD", "East"),
-        quadrants={
-            "A": QuadrantSummary(
-                label="full of life and exciting",
-                n_points=5,
-                auc=0.91,
-                k_max=2,
-                optimal_k=2,
-                best_dunn=12.5,
-                min_inter_km=2.0,
-                max_intra_km=0.16,
-                sites=2,
-            )
-        },
+def test_export_manifest_writes_settings_and_summaries_as_sorted_json():
+    summary = QuadrantSummary(
+        label="full of life and exciting",
+        n_points=5,
+        auc=0.91,
+        k_max=2,
+        optimal_k=2,
+        best_dunn=12.5,
+        min_inter_km=2.0,
+        max_intra_km=0.16,
+        sites=2,
     )
-    raw = manifest.to_json()
-    assert raw == manifest.to_json()
-    assert raw.endswith(b"\n")
-    payload = json.loads(raw)
-    assert payload["input_digest"].startswith("sha256:")
-    assert payload["region_order"] == ["CBD", "East"]
-    assert payload["quadrants"]["A"]["optimal_k"] == 2
-    assert list(payload) == sorted(payload)
-    for key in payload:
-        assert "time" not in key and "date" not in key and "path" not in key
+    settings = {"tool_version": "0.1.0", "k_max": None, "region_order": ("CBD", "East"),
+                "column_map": {"region": "area", "latitude_deg": "lat"}}
+    raw = export_manifest(settings, {"B": summary, "A": summary})
+    assert raw == export_manifest(dict(reversed(settings.items())), {"A": summary, "B": summary})
+    # Keys sorted at every level, two-space indents, one final newline.
+    assert raw == (json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert json.loads(raw) == {
+        "tool_version": "0.1.0",
+        "k_max": None,
+        "region_order": ["CBD", "East"],
+        "column_map": {"region": "area", "latitude_deg": "lat"},
+        "quadrants": {"A": dataclasses.asdict(summary), "B": dataclasses.asdict(summary)},
+    }
 
 
 # --- small helpers ---
