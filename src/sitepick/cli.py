@@ -23,6 +23,10 @@ unparseable input (including input that is not UTF-8 text), 4 clustering
 that produced no scoreable partition or lost a cluster. A run that fails
 writes no artifacts: all go to temp files before any is renamed into place,
 and the old manifest.json is removed before the first rename.
+
+manifest.json records the resolved RunConfig less the fields in _UNRECORDED,
+plus the tool version, the input digest, the column map and one summary per
+quadrant.
 """
 
 from __future__ import annotations
@@ -115,17 +119,19 @@ _RUN_OPTIONS = {
     "strict": (_parse_bool, "treat any row diagnostic as a fatal parse error"),
     "quadrants": (lambda raw: Quadrant.from_tokens(_parse_list(raw)),
                   "quadrant to process: " + _QUADRANT_HELP),
-    "base_seed": (int, "seed all runs derive from (default 0)"),
-    "runs_per_k": (int, f"restarts per candidate k (default {DEFAULT_RUNS_PER_K})"),
-    "k_min": (int, "smallest candidate k (default 2)"),
+    "base_seed": (int, f"seed all runs derive from (default {RunConfig.base_seed})"),
+    "runs_per_k": (int, f"restarts per candidate k (default {RunConfig.runs_per_k})"),
+    "k_min": (int, f"smallest candidate k (default {RunConfig.k_min})"),
     "k_max": (int, "largest candidate k (default: floor(sqrt(n)) per quadrant)"),
-    "max_iterations": (int, f"iteration cap per run (default {DEFAULT_MAX_ITERATIONS})"),
+    "max_iterations": (int, f"iteration cap per run (default {RunConfig.max_iterations})"),
     "earth_radius_km": (float, "sphere radius for distances, within [%g, %g] (default %g)"
-                        % (*EARTH_RADIUS_RANGE_KM, EARTH.radius_km)),
-    "region_order": (_parse_list, "comma-separated region ordering for site tables"),
+                        % (*EARTH_RADIUS_RANGE_KM, RunConfig.earth_radius_km)),
+    "region_order": (_parse_list, "comma-separated region ordering for site tables (default "
+                                  + ", ".join(RunConfig.region_order) + ")"),
     "workers": (int, "processes for the sweep, at most one per (quadrant, k) cell and per "
                      "CPU; each holds one quadrant's 8*n*n-byte distance matrix at a time "
-                     "and up to 2 MB of k-means scratch; results do not depend on this"),
+                     "and up to 2 MB of k-means scratch; results do not depend on this "
+                     f"(default {RunConfig.workers})"),
 }
 
 
@@ -352,8 +358,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _add_run_options(parser: argparse.ArgumentParser, keys: Sequence[str]) -> None:
     """The arguments every run command takes, and a flag for each of `keys`."""
     parser.add_argument("input", help="survey CSV file")
-    parser.add_argument("-o", "--output-dir", default="sitepick_out",
-                        help="directory for artifacts (default: %(default)s)")
+    parser.add_argument("-o", "--output-dir",
+                        help=f"directory for artifacts (default: {RunConfig.output_dir})")
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--column-map",
                         help="key=value file renaming canonical CSV columns to yours")

@@ -8,7 +8,9 @@ Each quadrant's points are one QuadrantPoints, built once and read by the
 sweep, site selection and every export.
 Exporters render floats themselves (fixed decimal places) so artifacts are
 byte-identical across reruns, platforms and worker counts; json.dumps float
-formatting is avoided everywhere coordinates appear.
+formatting is avoided everywhere coordinates appear. Outside 0.1-1e5 km the
+dunn_curve km cells take the shortest text that reads back as the same float.
+export_manifest writes the settings the CLI picks, and quadrant summaries.
 """
 
 from __future__ import annotations
@@ -413,6 +415,12 @@ def _fixed(value: float, places: int = 12) -> str:
     return f"{value:.{places}f}"
 
 
+def _km(value: float) -> str:
+    """12 to 17 significant digits at any accepted earth radius: 12 fixed
+    decimals from 0.1 up to 1e5 km (and 0), else the shortest round-trip text."""
+    return _fixed(value) if value == 0.0 or 0.1 <= value < 1e5 else repr(float(value))
+
+
 def _feature(lon_deg: float, lat_deg: float, properties: "list[tuple[str, str]]") -> str:
     body = ", ".join(f"{json.dumps(key)}: {rendered}" for key, rendered in properties)
     return (
@@ -513,8 +521,8 @@ def export_dunn_curve(result: SweepResult) -> bytes:
                     str(best.run_index),
                     str(best.seed),
                     _fixed(best.dunn.value),
-                    _fixed(best.dunn.min_inter_km),
-                    _fixed(best.dunn.max_intra_km),
+                    _km(best.dunn.min_inter_km),
+                    _km(best.dunn.max_intra_km),
                 ]
             )
     return render_csv(rows)

@@ -3,6 +3,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import pathlib
 import warnings
@@ -599,6 +600,12 @@ def test_earth_radius_is_checked_against_its_range(tmp_path, capsys, radius, cod
         assert not (tmp_path / "out").exists()
     else:
         assert _dunn_curve_without_km(tmp_path / "out") == _dunn_curve_without_km(tmp_path / "earth")
+        # The km cells keep their digits at either end of the range.
+        summary = json.loads((tmp_path / "out" / "manifest.json").read_text())["quadrants"]["A"]
+        rows = (tmp_path / "out" / "dunn_curve_A.csv").read_text(encoding="utf-8").splitlines()
+        row = next(row.split(",") for row in rows if row.startswith(f"{summary['optimal_k']},"))
+        assert math.isclose(float(row[4]), summary["min_inter_km"], rel_tol=1e-11)
+        assert math.isclose(float(row[5]), summary["max_intra_km"], rel_tol=1e-11)
 
 
 # --- sweep ---
@@ -634,6 +641,37 @@ def test_sweep_worker_count_does_not_change_artifacts(tmp_path):
     assert names == sorted(p.name for p in parallel.iterdir())
     for name in names:
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+# --- manifest ---
+
+
+# A new RunConfig field is either recorded here or listed in cli._UNRECORDED
+# as one that changes no artifact byte: this set makes that a choice.
+MANIFEST_KEYS = {
+    "base_seed", "column_map", "earth_radius_km", "input_digest", "k_max", "k_min",
+    "max_iterations", "quadrants", "region_order", "runs_per_k", "strict", "tool_version",
+}
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["cluster", "--k", "2"]])
+def test_manifest_records_every_setting_that_can_change_an_artifact(tmp_path, argv):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    out = tmp_path / "out"
+    assert main([argv[0], str(survey), "-o", str(out), "--runs-per-k", "2", *argv[1:]]) == 0
+    assert set(json.loads((out / "manifest.json").read_text(encoding="utf-8"))) == MANIFEST_KEYS
+
+
+def test_manifest_records_no_path_and_no_worker_count(tmp_path):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    copy = tmp_path / "elsewhere" / "renamed.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(survey.read_bytes())
+    first, second = tmp_path / "out", tmp_path / "elsewhere" / "other_out"
+    argv = ["sweep", "--runs-per-k", "3"]
+    assert main(argv + [str(survey), "-o", str(first)]) == 0
+    assert main(argv + [str(copy), "-o", str(second), "--workers", "2"]) == 0
+    assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
 
 
 @pytest.fixture
@@ -913,6 +951,11 @@ def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
     assert resolved.region_order == ("West", "East")
     assert resolved.quadrants == (Quadrant.FULL_OF_LIFE_EXCITING, Quadrant.CALM_TRANQUIL)
     assert resolved.strict is True
+
+
+def test_output_dir_left_out_is_the_run_config_default():
+    for argv in (["weights", "s.csv"], ["sweep", "s.csv"], ["cluster", "s.csv", "--k", "3"]):
+        assert resolve_config(build_parser().parse_args(argv)).output_dir == "sitepick_out"
 
 
 def test_load_config_file_parses_every_knob(tmp_path):
