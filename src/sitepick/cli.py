@@ -126,12 +126,10 @@ _RUN_OPTIONS = {
     "max_iterations": (int, f"iteration cap per run (default {RunConfig.max_iterations})"),
     "earth_radius_km": (float, "sphere radius for distances, within [%g, %g] (default %g)"
                         % (*EARTH_RADIUS_RANGE_KM, RunConfig.earth_radius_km)),
-    "region_order": (_parse_list, "comma-separated region ordering for site tables (default "
-                                  + ", ".join(RunConfig.region_order) + ")"),
+    "region_order": (_parse_list, "comma-separated region ordering for site tables"),
     "workers": (int, "processes for the sweep, at most one per (quadrant, k) cell and per "
                      "CPU; each holds one quadrant's 8*n*n-byte distance matrix at a time "
-                     "and up to 2 MB of k-means scratch; results do not depend on this "
-                     f"(default {RunConfig.workers})"),
+                     "and up to 2 MB of k-means scratch; results do not depend on this"),
 }
 
 

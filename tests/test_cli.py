@@ -944,6 +944,8 @@ def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
     # Leaving --strict out keeps the file's value.
     assert resolve_config(parse(["sweep", "s.csv", "--config", str(config)])).strict is True
     assert resolve_config(parse(["sweep", "s.csv"])).strict is False
+    # Leaving -o out keeps RunConfig's output_dir.
+    assert resolve_config(parse(["weights", "s.csv"])).output_dir == "sitepick_out"
     assert resolve_config(parse(["sweep", "s.csv", "--strict"])).strict is True
     resolved = resolve_config(parse(["sweep", "s.csv", "--config", str(config),
                                      "--region-order", "West, East",
@@ -951,11 +953,6 @@ def test_resolve_config_takes_parsed_flags_over_the_file(tmp_path):
     assert resolved.region_order == ("West", "East")
     assert resolved.quadrants == (Quadrant.FULL_OF_LIFE_EXCITING, Quadrant.CALM_TRANQUIL)
     assert resolved.strict is True
-
-
-def test_output_dir_left_out_is_the_run_config_default():
-    for argv in (["weights", "s.csv"], ["sweep", "s.csv"], ["cluster", "s.csv", "--k", "3"]):
-        assert resolve_config(build_parser().parse_args(argv)).output_dir == "sitepick_out"
 
 
 def test_load_config_file_parses_every_knob(tmp_path):
