@@ -21,6 +21,10 @@ equal the previous pass's is a fixed point and converges, repaired or not.
 Restarts of one k run as a batch (`_kmeans_batch`): seeding, assignment and
 center update each take all of the batch's runs in one array operation, and
 every run's result is bitwise the one it gives alone, as a batch of one.
+Seeding draws every run's k random numbers up front, as one table of its
+generator's next outputs. After the first pass, the update recomputes only
+the clusters some point entered or left; every other cluster keeps its
+center, which the same members would give again bit for bit.
 
 Points, centers and labels travel as arrays: coordinates are (n, 2)
 [lat, lon] radian arrays, centers (k, 2) arrays of the same form, and a
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import EmptyClusterError, ValidationError
 from .geo import EARTH, EarthModel, haversine_km
-from .rng import SplitMix64
+from .rng import SplitMix64, next_u64_table
 
 DEFAULT_MAX_ITERATIONS = 300
 
@@ -321,9 +325,15 @@ def _kmeanspp_batch(matrix: np.ndarray, k: int, rngs: "list[SplitMix64]") -> np.
 
     The runs share every array operation. Sums and cumulative sums along a
     row of a C-contiguous array are bitwise numpy's 1-D ones over that row,
-    so every run draws the indices it would draw alone.
+    so every run draws the indices it would draw alone. Each step takes
+    exactly one `next_u64` of each run's generator, as `random()` or, when
+    the run has fallen back to a uniform draw, as `randrange`; so all of a
+    run's draws are one row of `next_u64_table`, made before the first step,
+    and every generator ends k draws on, as it would drawing one at a time.
     """
     n = matrix.shape[0]
+    draws = next_u64_table(rngs, k)
+    uniform = (draws >> np.uint64(11)) * 2.0**-53  # what random() makes of each
     chosen = np.empty((len(rngs), k), dtype=np.intp)
     nearest = np.full((len(rngs), n), np.inf)
     probabilities = np.full((len(rngs), n), 1.0 / n)
@@ -336,16 +346,15 @@ def _kmeanspp_batch(matrix: np.ndarray, k: int, rngs: "list[SplitMix64]") -> np.
             flat = ~(total > 0.0)
             probabilities = squared / np.where(flat, 1.0, total)[:, None]
         cumulative = np.cumsum(probabilities, axis=1)
-        draws = [0.0 if skip else rng.random() for rng, skip in zip(rngs, flat.tolist())]
-        u = np.array(draws) * cumulative[:, -1]
+        u = uniform[:, step] * cumulative[:, -1]
         # searchsorted(row, u, side="right") for every nondecreasing row.
         chosen[:, step] = np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), n - 1)
         for run in np.flatnonzero(flat):
             # Every remaining point coincides with a chosen center, so the
             # squared-distance rule is 0/0; fall back to a uniform draw over
-            # the indices not yet chosen.
+            # the indices not yet chosen, as randrange makes it.
             unchosen = sorted(set(range(n)) - set(chosen[run, :step].tolist()))
-            chosen[run, step] = unchosen[rngs[run].randrange(len(unchosen))]
+            chosen[run, step] = unchosen[(int(draws[run, step]) * len(unchosen)) >> 64]
     return chosen
 
 
@@ -393,6 +402,7 @@ def _update_centers(
     weighted: np.ndarray,
     labels: np.ndarray,
     k: int,
+    previous: "tuple[np.ndarray, np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Weighted per-coordinate mean of every cluster, in one pass: (k, 2) for
     one partition given as (n,) labels, (R, k, 2) for R of them as (R, n).
@@ -401,37 +411,75 @@ def _update_centers(
     its cluster's lowest-index member moves by 2 pi toward it, and each mean
     longitude is folded into (-pi, pi]; other rows keep their bits. The
     results are bitwise those of summing each cluster's own slice: cluster j
-    of run r is bin r * k + j of one bincount, which adds its weighted
-    coordinates in ascending point order, as a sum over axis 0 does, and the
-    weight totals keep numpy's pairwise sum over each cluster's contiguous
-    run of the stably sorted weights.
+    of run r is bin r * k + j, a stable sort by bin lists each cluster's
+    members in ascending point order, and one bincount adds their weighted
+    coordinates in that order, as a sum over axis 0 does. Each weight total
+    is numpy's pairwise sum of the cluster's weights in point order: the
+    clusters of one size are reduced together as the rows of a C-contiguous
+    (clusters, size) array, which sums each row as the 1-D reduce does, and
+    a size only one cluster has keeps the 1-D reduce.
+
+    `previous`, when given, is the labels and the centers made from them on
+    the pass before, shaped as `labels` and the result. A cluster no point
+    entered or left has the same members, lowest-index member and sums, so
+    it keeps its previous center bit for bit, and only the points of the
+    other clusters are read.
     """
     n = coords.shape[0]
     runs = labels.size // n
-    bins = (labels.reshape(runs, n) + k * np.arange(runs)[:, None]).ravel()
+    offsets = k * np.arange(runs)[:, None]
+    bins = (labels.reshape(runs, n) + offsets).ravel()
     counts = np.bincount(bins, minlength=runs * k)
     if not counts.all():
         raise EmptyClusterError(f"cluster {int(counts.argmin()) % k} lost all members")
+    if previous is None:
+        changed = np.ones(runs * k, dtype=bool)
+        centers = np.empty((runs * k, 2))
+    else:
+        old_labels, old_centers = previous
+        moved = (labels != old_labels).ravel()
+        changed = np.zeros(runs * k, dtype=bool)
+        changed[bins[moved]] = True
+        changed[(old_labels.reshape(runs, n) + offsets).ravel()[moved]] = True
+        centers = old_centers.reshape(runs * k, 2).copy()
+        picked = np.flatnonzero(changed[bins])
+        bins = bins[picked]
     # The smallest unsigned type that holds every bin lets numpy radix-sort.
-    order = np.argsort(bins.astype(np.min_scalar_type(runs * k - 1)), kind="stable") % n
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    sorted_weights = weights[order]
-    totals = np.array(
-        [np.add.reduce(sorted_weights[a:b]) for a, b in zip(starts.tolist(), stops.tolist())]
-    )
-    lon = coords[:, 1]
-    offset = lon - lon[order[starts]][bins].reshape(runs, n)
-    unwrapped = lon - np.copysign(2.0 * np.pi, offset)
-    weighted_lon = np.where(np.abs(offset) > np.pi, weights * unwrapped, weighted[:, 1])
+    order = np.argsort(bins.astype(np.min_scalar_type(runs * k - 1)), kind="stable")
+    members = (order if previous is None else picked[order]) % n
+    sizes = counts[changed]
+    starts = np.cumsum(sizes) - sizes
+    sorted_weights = weights[members]
+    totals = np.empty(sizes.size)
+    by_size = np.argsort(sizes, kind="stable")
+    edges = np.flatnonzero(np.diff(sizes[by_size], prepend=-1, append=-1)).tolist()
+    first, size, cluster = starts.tolist(), sizes.tolist(), by_size.tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        c = cluster[a]
+        if b == a + 1:
+            totals[c] = np.add.reduce(sorted_weights[first[c] : first[c] + size[c]])
+        else:
+            group = by_size[a:b]
+            rows = starts[group][:, None] + np.arange(size[c])
+            totals[group] = np.add.reduce(sorted_weights[rows], axis=1)
+    segment = np.repeat(np.arange(sizes.size), sizes)
+    # 1-D column gathers: numpy gathers rows of an (n, 2) array far slower.
+    lon = coords[:, 1][members]
+    offset = lon - lon[starts][segment]
+    weighted_lon = weighted[:, 1][members]
+    far = np.flatnonzero(np.abs(offset) > np.pi)
+    if far.size:
+        unwrapped = lon[far] - np.copysign(2.0 * np.pi, offset[far])
+        weighted_lon[far] = sorted_weights[far] * unwrapped
     sums = np.column_stack([
-        np.bincount(bins, weights=np.tile(weighted[:, 0], runs), minlength=runs * k),
-        np.bincount(bins, weights=weighted_lon.ravel(), minlength=runs * k),
+        np.bincount(segment, weights=weighted[:, 0][members], minlength=sizes.size),
+        np.bincount(segment, weights=weighted_lon, minlength=sizes.size),
     ])
-    centers = sums / totals[:, None]
-    lon = centers[:, 1]
+    means = sums / totals[:, None]
+    lon = means[:, 1]
     lon[lon > np.pi] -= 2.0 * np.pi
     lon[lon <= -np.pi] += 2.0 * np.pi
+    centers[changed] = means
     return centers.reshape(labels.shape[:-1] + (k, 2))
 
 
@@ -476,10 +524,12 @@ def _kmeans_batch(
             for run in np.flatnonzero(converged):
                 done[live[run]] = (centers[run].copy(), new_labels[run].copy(), iteration, True)
             live, centers = live[~converged], centers[~converged]
+            # The seed centers of the first pass come from no labels.
+            previous = None if iteration == 1 else (labels[~converged], centers)
             labels = new_labels[~converged]
             if live.size == 0:
                 break
-            centers = _update_centers(coords, weights, weighted, labels, k)
+            centers = _update_centers(coords, weights, weighted, labels, k, previous)
         for run, position in enumerate(live.tolist()):
             done[position] = (centers[run].copy(), labels[run].copy(), max_iterations, False)
         results += done

@@ -35,15 +35,22 @@ less.
 
 Within a k, runs are scored in run order against the best so far, and a
 run whose exact upper bound on the Dunn index cannot beat it is dropped
-before any diameter is read (see `_dunn_from_matrix`). Ties keep the
-earlier run, so the winner is the one scoring every run would pick.
+before any diameter is read. The bound is min_inter / largest reach (see
+`_dunn_from_matrix`); with three or more runs, `_dunn_bounds` finds both
+for every run after the first at once, from the stack of their labels.
+Ties keep the earlier run, so the winner is the one scoring every run
+would pick.
 
 A k's restarts run as batches through one `_kmeans_batch` call. A batch's
 largest scratch array, its (runs, k, n) float64 dot products, is capped at
 `_BATCH_ELEMENTS` = 2**18 values (2 MB) per process whatever runs_per_k is,
 or one run's n * k values when that is larger. Beside it each process keeps every
 run's labels and centers until the k is scored: 8 * runs_per_k * (n + 2k)
-bytes, 1.6 MB at runs_per_k = 100 and n = 2000.
+bytes, 1.6 MB at runs_per_k = 100 and n = 2000. The bounds then stack those
+labels into one (runs_per_k - 1, n) array, with (runs_per_k - 1, k)
+anchors and temporaries of the stack's size: at their peak about 33 bytes
+per run and point, stack included, 6.5 MB at runs_per_k = 100 and
+n = 2000, a fifth of that quadrant's 32 MB matrix.
 """
 
 from __future__ import annotations
@@ -261,6 +268,26 @@ def _dunn_from_matrix(
 _QUADRANT: Optional[tuple[int, np.ndarray, _Tree]] = None
 
 
+def _dunn_bounds(
+    dist: np.ndarray, tree: _Tree, labels: np.ndarray, k: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each run's minimum inter-cluster distance and largest reach, for an
+    (R, n) stack of partitions into k non-empty clusters, in a few array
+    operations over all R runs. They are the entries `_dunn_from_matrix`
+    bounds a run's score with: the lightest tree edge between clusters, and
+    the largest distance of a point from its cluster's lowest-index member,
+    found with one `np.minimum.at`. Min and max are exact, so each is the
+    value that function reads for the run."""
+    a, b, w = tree
+    runs, n = labels.shape
+    min_inter = np.where(labels[:, a] != labels[:, b], w, np.inf).min(axis=1)
+    bins = labels + k * np.arange(runs)[:, None]
+    anchors = np.full(runs * k, n)
+    np.minimum.at(anchors, bins.ravel(), np.tile(np.arange(n), runs))
+    reach = dist.ravel()[anchors[bins] * n + np.arange(n)].max(axis=1)
+    return min_inter, reach
+
+
 def _sweep_cell(
     quadrant: int,
     coords: np.ndarray,
@@ -276,9 +303,14 @@ def _sweep_cell(
     matrix and tree are built on this process's first cell of it, after the
     previous quadrant's are dropped, so a process holds one at a time.
 
-    Runs are scored in run order against the best so far, and
-    `_dunn_from_matrix` drops unread every run whose exact upper bound cannot
-    beat it: such a run could at best tie, and ties keep the earlier run.
+    Runs are scored in run order against the best so far. A run whose exact
+    upper bound, min_inter / largest reach, cannot beat it is dropped before
+    its diameters are read: such a run could at best tie, and ties keep the
+    earlier run. `_dunn_from_matrix` applies that bound itself. With two or
+    more runs after the first, which has nothing to beat, their bounds come
+    from one `_dunn_bounds` call instead, and a dropped run is never passed
+    on; one run's bound costs as much batched as it does there, where a run
+    that survives reuses it.
     """
     global _QUADRANT
     if _QUADRANT is None or _QUADRANT[0] != quadrant:
@@ -288,8 +320,16 @@ def _sweep_cell(
     _, dist, tree = _QUADRANT
     seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
     runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
+    upper = [math.inf] * runs_per_k
+    if runs_per_k > 2:
+        later = np.stack([labels for _, labels, _, _ in runs[1:]])
+        min_inter, reach = (bound.tolist() for bound in _dunn_bounds(dist, tree, later, k))
+        # A zero reach proves nothing (the run may be degenerate).
+        upper[1:] = [m / r if r > 0.0 else math.inf for m, r in zip(min_inter, reach)]
     best: Optional[KBest] = None
     for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
+        if best is not None and upper[run] <= best.dunn.value:
+            continue
         to_beat = -math.inf if best is None else best.dunn.value
         score = _dunn_from_matrix(dist, tree, labels, to_beat, metric.triangle_slack)
         if score is not None:

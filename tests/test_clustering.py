@@ -360,6 +360,50 @@ def test_update_centers_is_the_per_cluster_loop_for_large_clusters():
         assert same_bits(got, want)
 
 
+@st.composite
+def _passes(draw):
+    """Two passes of R runs over one point set: (R, n) labels, or (n,) for a
+    single partition, before and after some points move. Cluster sizes come
+    from a few values around numpy's 8- and 128-element pairwise-sum blocks,
+    so clusters of one size meet within and across runs; some longitudes lie
+    within a degree of +-180."""
+    sizes = draw(st.lists(st.sampled_from([1, 2, 8, 9, 128, 129, 700]), min_size=1, max_size=6))
+    k, n = len(sizes), sum(sizes)
+    runs = draw(st.sampled_from([None, 1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lat = rng.uniform(-1.4, 1.4, n)
+    if draw(st.booleans()):
+        lon = rng.uniform(-np.pi, np.pi, n)
+    else:
+        lon = np.pi - rng.uniform(0.0, 0.02, n)
+        lon[rng.random(n) < 0.5] *= -1.0
+    coords = np.column_stack([lat, lon])
+    weights = rng.uniform(1e-3, 10.0, n)
+    base = np.repeat(np.arange(k), sizes)
+    before = np.stack([rng.permutation(base) for _ in range(runs or 1)])
+    after = before.copy()
+    for run in range(len(after)):
+        for point in rng.integers(0, n, draw(st.sampled_from([0, 0, 1, 3, 40]))):
+            source, target = after[run, point], rng.integers(0, k)
+            if np.count_nonzero(after[run] == source) > 1:
+                after[run, point] = target
+    if runs is None:
+        before, after = before[0], after[0]
+    return coords, weights, k, before, after
+
+
+@settings(max_examples=150, deadline=None)
+@given(_passes())
+def test_update_centers_from_the_previous_pass_is_the_full_update(case):
+    coords, weights, k, before, after = case
+    weighted = weights[:, None] * coords
+    previous = (before, _update_centers(coords, weights, weighted, before, k))
+    got = _update_centers(coords, weights, weighted, after, k, previous)
+    assert same_bits(got, _update_centers(coords, weights, weighted, after, k))
+    for labels, centers in zip(after.reshape(-1, len(coords)), got.reshape(-1, k, 2)):
+        assert same_bits(centers, reference_centers(coords, weights, labels, k))
+
+
 # --- seeding ---
 
 

@@ -752,6 +752,109 @@ def test_sweep_keeps_the_run_that_scoring_every_run_keeps(data):
         assert _bits(kb.dunn) == _bits(score)
 
 
+def _upper_bound_by_hand(dist, labels):
+    """min_inter / largest reach of one run, over all pairs, or None when no
+    point lies away from its cluster's lowest-index member."""
+    min_inter = float(dist[labels[:, None] != labels[None, :]].min())
+    anchor = {}
+    for point, label in enumerate(labels.tolist()):
+        anchor.setdefault(label, point)
+    reach = max(float(dist[anchor[label], point]) for point, label in enumerate(labels.tolist()))
+    return min_inter / reach if reach > 0.0 else None
+
+
+def _score_cell(coords, metric, k, label_runs):
+    """(`_dunn_from_matrix` calls, KBest) of `_sweep_cell` on crafted runs."""
+    runs = [(np.zeros((k, 2)), labels, 1, True) for labels in label_runs]
+    called = []
+    score = sitepick.model_selection._dunn_from_matrix
+
+    def recording(dist, tree, labels, *args):
+        called.append(next(run for run, given in enumerate(label_runs) if given is labels))
+        return score(dist, tree, labels, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sitepick.model_selection, "_QUADRANT", None)
+        patch.setattr(sitepick.model_selection, "_kmeans_batch", lambda *args: runs)
+        patch.setattr(sitepick.model_selection, "_dunn_from_matrix", recording)
+        best = sitepick.model_selection._sweep_cell(
+            0, coords, np.ones(len(coords)), len(runs), 0, metric, 1, k
+        )
+    return called, best
+
+
+def _expected_scoring(coords, metric, label_runs):
+    """The runs today's bound inside `_dunn_from_matrix` lets through, in run
+    order, and the best run found by scoring every run with nothing to beat."""
+    dist = _distance_matrix(coords, metric)
+    tree = _spanning_tree(dist)
+    slack = metric.triangle_slack
+    kept, best = [], None
+    for run, labels in enumerate(label_runs):
+        bound = _upper_bound_by_hand(dist, labels)
+        if best is not None and bound is not None and bound <= best.value:
+            continue
+        kept.append(run)
+        score = _dunn_from_matrix(dist, tree, labels, -math.inf if best is None else best.value, slack)
+        best = score or best
+    scores = [_dunn_from_matrix(dist, tree, labels, -math.inf, slack) for labels in label_runs]
+    scored = [run for run, score in enumerate(scores) if score is not None]
+    winner = max(scored, key=lambda run: scores[run].value, default=None)
+    return kept, winner, None if winner is None else scores[winner]
+
+
+def _check_cell(coords, metric, k, label_runs):
+    called, best = _score_cell(coords, metric, k, label_runs)
+    kept, winner, score = _expected_scoring(coords, metric, label_runs)
+    # With one run after the first, that run goes to `_dunn_from_matrix`,
+    # which applies the same bound itself.
+    assert called == (kept if len(label_runs) > 2 else list(range(len(label_runs))))
+    if winner is None:
+        assert best is None
+    else:
+        assert (best.run_index, _bits(best.dunn)) == (winner, _bits(score))
+        assert best.labels is label_runs[winner]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_cell_scores_only_the_runs_the_bound_cannot_drop(data):
+    metric = data.draw(st.sampled_from([HaversineMetric(), PlanarMetric()]))
+    near = st.builds(from_degrees, st.floats(1.2, 1.5), st.floats(103.6, 104.0))
+    spots = data.draw(st.lists(near, min_size=2, max_size=5))
+    n = data.draw(st.integers(max(4, len(spots)), 12))
+    picks = list(range(len(spots))) + data.draw(
+        st.lists(st.integers(0, len(spots) - 1), min_size=n - len(spots), max_size=n - len(spots))
+    )
+    coords = coords_array([spots[i] for i in picks])
+    k = data.draw(st.integers(2, min(n, 5)))
+    label_runs = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        if k == len(spots) and data.draw(st.booleans()):
+            # One cluster per spot: every reach is zero.
+            labels = np.array(picks)
+        else:
+            labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+            labels[data.draw(st.permutations(range(n)))[:k]] = np.arange(k)
+        label_runs.append(labels)
+    _check_cell(coords, metric, k, label_runs)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 3, 4])
+def test_sweep_cell_scores_a_run_of_zero_reach_in_full(runs):
+    # Points a, a, b, c. Run 0 puts the two a's apart and scores 0; run 1 puts
+    # each place in its own cluster, so every reach is zero and nothing bounds
+    # it; run 2 repeats run 0 and cannot beat it; run 3 is run 1 again.
+    coords = coords_array([from_degrees(1.3, 103.8)] * 2
+                          + [from_degrees(1.31, 103.8), from_degrees(1.3, 103.83)])
+    apart, by_place = np.array([0, 1, 0, 2]), np.array([0, 0, 1, 2])
+    label_runs = [apart, by_place, apart.copy(), by_place.copy()][:runs]
+    called, best = _score_cell(coords, HaversineMetric(), 3, label_runs)
+    assert called == {1: [0], 2: [0, 1], 3: [0, 1], 4: [0, 1, 3]}[runs]
+    assert (best.run_index, best.dunn.value) == (0, 0.0)
+    _check_cell(coords, HaversineMetric(), 3, label_runs)
+
+
 def test_sweep_default_range_ends_at_isqrt():
     points = [from_degrees(0.1 * i, 0.07 * (i % 5)) for i in range(9)]
     result = sweep(coords_array(points), [1.0] * 9, runs_per_k=2)

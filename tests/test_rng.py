@@ -1,7 +1,13 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sitepick.rng import SplitMix64, derive_seed, mix64
+from sitepick.clustering import PlanarMetric, _distance_matrix, _kmeanspp_batch
+from sitepick.rng import SplitMix64, derive_seed, mix64, next_u64_table
+
+GOLDEN = 0x9E3779B97F4A7C15
+# Seeds whose counter wraps past 2**64 within the first draws.
+WRAPPING_SEEDS = [0, 2**64 - 1, 2**64 - GOLDEN]
 
 # First outputs of the generator seeded with 0, matching the original
 # published C reference implementation of SplitMix64.
@@ -76,3 +82,55 @@ def test_gauss_moments():
     var = sum((x - mean) ** 2 for x in draws) / len(draws)
     assert abs(mean) < 0.02
     assert abs(var - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 40])
+def test_draw_table_is_each_generators_next_outputs(count):
+    seeds = WRAPPING_SEEDS + [GOLDEN, 987654321, 2**63]
+    table = next_u64_table([SplitMix64(seed) for seed in seeds], count)
+    assert table.dtype == np.uint64 and table.shape == (len(seeds), count)
+    for seed, row in zip(seeds, table.tolist()):
+        gen = SplitMix64(seed)
+        assert row == [gen.next_u64() for _ in range(count)]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5), st.integers(1, 30))
+def test_draw_table_advances_each_generator_past_its_row(seeds, count):
+    drawn = [SplitMix64(seed) for seed in seeds]
+    stepped = [SplitMix64(seed) for seed in seeds]
+    next_u64_table(drawn, count)
+    for gen in stepped:
+        for _ in range(count):
+            gen.next_u64()
+    assert [gen.next_u64() for gen in drawn] == [gen.next_u64() for gen in stepped]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_seeding_advances_every_generator_by_k_draws(k):
+    coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.5], [0.3, 0.0]])
+    matrix = _distance_matrix(coords, PlanarMetric())
+    seeds = WRAPPING_SEEDS + [5, 6]
+    rngs = [SplitMix64(seed) for seed in seeds]
+    _kmeanspp_batch(matrix, k, rngs)
+    for seed, rng in zip(seeds, rngs):
+        gen = SplitMix64(seed)
+        for _ in range(k):
+            gen.next_u64()
+        assert rng.next_u64() == gen.next_u64()
+
+
+def test_coincident_points_fall_back_to_the_same_uniform_draws():
+    # Indices drawn one generator call at a time (random() while a run has
+    # distances, randrange once every remaining point coincides with a
+    # chosen one), before the draws came from one table.
+    matrix = _distance_matrix(np.zeros((6, 2)), PlanarMetric())
+    chosen = _kmeanspp_batch(matrix, 5, [SplitMix64(seed) for seed in WRAPPING_SEEDS + [1]])
+    assert chosen.tolist() == [[5, 2, 0, 4, 1], [5, 4, 0, 2, 3], [0, 5, 2, 1, 4], [3, 4, 5, 1, 0]]
+    # Two places: every run falls back from its third center on.
+    coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    matrix = _distance_matrix(coords, PlanarMetric())
+    chosen = _kmeanspp_batch(matrix, 5, [SplitMix64(seed) for seed in range(6)])
+    assert chosen.tolist() == [
+        [4, 1, 0, 3, 2], [2, 3, 4, 0, 1], [2, 3, 1, 4, 0],
+        [0, 3, 2, 1, 4], [2, 3, 4, 0, 1], [1, 4, 0, 2, 3],
+    ]
