@@ -443,6 +443,8 @@ def _update_centers(
         changed[(old_labels.reshape(runs, n) + offsets).ravel()[moved]] = True
         centers = old_centers.reshape(runs * k, 2).copy()
         picked = np.flatnonzero(changed[bins])
+        if picked.size == 0:
+            return centers.reshape(labels.shape[:-1] + (k, 2))
         bins = bins[picked]
     # The smallest unsigned type that holds every bin lets numpy radix-sort.
     order = np.argsort(bins.astype(np.min_scalar_type(runs * k - 1)), kind="stable")
@@ -452,7 +454,8 @@ def _update_centers(
     sorted_weights = weights[members]
     totals = np.empty(sizes.size)
     by_size = np.argsort(sizes, kind="stable")
-    edges = np.flatnonzero(np.diff(sizes[by_size], prepend=-1, append=-1)).tolist()
+    ordered = sizes[by_size]
+    edges = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), sizes.size]
     first, size, cluster = starts.tolist(), sizes.tolist(), by_size.tolist()
     for a, b in zip(edges[:-1], edges[1:]):
         c = cluster[a]
