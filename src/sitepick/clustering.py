@@ -345,11 +345,11 @@ def _kmeanspp_batch(matrix: np.ndarray, k: int, rngs: "list[SplitMix64]") -> np.
             total = squared.sum(axis=1)
             flat = ~(total > 0.0)
             probabilities = squared / np.where(flat, 1.0, total)[:, None]
-        cumulative = np.cumsum(probabilities, axis=1)
+        cumulative = probabilities.cumsum(axis=1)
         u = uniform[:, step] * cumulative[:, -1]
         # searchsorted(row, u, side="right") for every nondecreasing row.
-        chosen[:, step] = np.minimum(np.count_nonzero(cumulative <= u[:, None], axis=1), n - 1)
-        for run in np.flatnonzero(flat):
+        chosen[:, step] = np.minimum((cumulative <= u[:, None]).sum(axis=1), n - 1)
+        for run in flat.nonzero()[0]:
             # Every remaining point coincides with a chosen center, so the
             # squared-distance rule is 0/0; fall back to a uniform draw over
             # the indices not yet chosen, as randrange makes it.
@@ -442,20 +442,22 @@ def _update_centers(
         changed[bins[moved]] = True
         changed[(old_labels.reshape(runs, n) + offsets).ravel()[moved]] = True
         centers = old_centers.reshape(runs * k, 2).copy()
-        picked = np.flatnonzero(changed[bins])
+        picked = changed[bins].nonzero()[0]
         if picked.size == 0:
             return centers.reshape(labels.shape[:-1] + (k, 2))
         bins = bins[picked]
-    # The smallest unsigned type that holds every bin lets numpy radix-sort.
-    order = np.argsort(bins.astype(np.min_scalar_type(runs * k - 1)), kind="stable")
+    # Array methods stand in for numpy's Python-level function wrappers
+    # below, which cost as much as the work on arrays this small. The
+    # smallest unsigned type that holds every bin lets numpy radix-sort.
+    order = bins.astype(np.min_scalar_type(runs * k - 1)).argsort(kind="stable")
     members = (order if previous is None else picked[order]) % n
     sizes = counts[changed]
-    starts = np.cumsum(sizes) - sizes
+    starts = sizes.cumsum() - sizes
     sorted_weights = weights[members]
     totals = np.empty(sizes.size)
-    by_size = np.argsort(sizes, kind="stable")
+    by_size = sizes.argsort(kind="stable")
     ordered = sizes[by_size]
-    edges = [0, *(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), sizes.size]
+    edges = [0, *((ordered[1:] != ordered[:-1]).nonzero()[0] + 1).tolist(), sizes.size]
     first, size, cluster = starts.tolist(), sizes.tolist(), by_size.tolist()
     for a, b in zip(edges[:-1], edges[1:]):
         c = cluster[a]
@@ -465,20 +467,19 @@ def _update_centers(
             group = by_size[a:b]
             rows = starts[group][:, None] + np.arange(size[c])
             totals[group] = np.add.reduce(sorted_weights[rows], axis=1)
-    segment = np.repeat(np.arange(sizes.size), sizes)
+    segment = np.arange(sizes.size).repeat(sizes)
     # 1-D column gathers: numpy gathers rows of an (n, 2) array far slower.
     lon = coords[:, 1][members]
     offset = lon - lon[starts][segment]
     weighted_lon = weighted[:, 1][members]
-    far = np.flatnonzero(np.abs(offset) > np.pi)
+    far = (np.abs(offset) > np.pi).nonzero()[0]
     if far.size:
         unwrapped = lon[far] - np.copysign(2.0 * np.pi, offset[far])
         weighted_lon[far] = sorted_weights[far] * unwrapped
-    sums = np.column_stack([
-        np.bincount(segment, weights=weighted[:, 0][members], minlength=sizes.size),
-        np.bincount(segment, weights=weighted_lon, minlength=sizes.size),
-    ])
-    means = sums / totals[:, None]
+    means = np.empty((sizes.size, 2))
+    means[:, 0] = np.bincount(segment, weights=weighted[:, 0][members], minlength=sizes.size)
+    means[:, 1] = np.bincount(segment, weights=weighted_lon, minlength=sizes.size)
+    means /= totals[:, None]
     lon = means[:, 1]
     lon[lon > np.pi] -= 2.0 * np.pi
     lon[lon <= -np.pi] += 2.0 * np.pi
