@@ -365,8 +365,8 @@ def _passes(draw):
     """Two passes of R runs over one point set: (R, n) labels, or (n,) for a
     single partition, before and after some points move. Cluster sizes come
     from a few values around numpy's 8- and 128-element pairwise-sum blocks,
-    so clusters of one size meet within and across runs; some longitudes lie
-    within a degree of +-180."""
+    so clusters of one size meet within and across runs; in some cases every
+    longitude lies within 0.02 rad of +-pi."""
     sizes = draw(st.lists(st.sampled_from([1, 2, 8, 9, 128, 129, 700]), min_size=1, max_size=6))
     k, n = len(sizes), sum(sizes)
     runs = draw(st.sampled_from([None, 1, 2, 4]))

@@ -784,7 +784,7 @@ def _score_cell(coords, metric, k, label_runs):
 
 
 def _expected_scoring(coords, metric, label_runs):
-    """The runs today's bound inside `_dunn_from_matrix` lets through, in run
+    """The runs the bound inside `_dunn_from_matrix` lets through, in run
     order, and the best run found by scoring every run with nothing to beat."""
     dist = _distance_matrix(coords, metric)
     tree = _spanning_tree(dist)
@@ -795,8 +795,8 @@ def _expected_scoring(coords, metric, label_runs):
         if best is not None and bound is not None and bound <= best.value:
             continue
         kept.append(run)
-        score = _dunn_from_matrix(dist, tree, labels, -math.inf if best is None else best.value, slack)
-        best = score or best
+        to_beat = -math.inf if best is None else best.value
+        best = _dunn_from_matrix(dist, tree, labels, to_beat, slack) or best
     scores = [_dunn_from_matrix(dist, tree, labels, -math.inf, slack) for labels in label_runs]
     scored = [run for run, score in enumerate(scores) if score is not None]
     winner = max(scored, key=lambda run: scores[run].value, default=None)

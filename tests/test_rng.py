@@ -84,6 +84,8 @@ def test_gauss_moments():
     assert abs(var - 1.0) < 0.03
 
 
+# With six generators, tables of 6 and 12 draws are mixed as Python ints and
+# the larger ones as arrays.
 @pytest.mark.parametrize("count", [1, 2, 7, 40])
 def test_draw_table_is_each_generators_next_outputs(count):
     seeds = WRAPPING_SEEDS + [GOLDEN, 987654321, 2**63]
@@ -107,6 +109,7 @@ def test_draw_table_advances_each_generator_past_its_row(seeds, count):
 
 @pytest.mark.parametrize("k", [1, 2, 5])
 def test_seeding_advances_every_generator_by_k_draws(k):
+    # Four places among five points: k = 5 falls back at its last step.
     coords = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.5], [0.3, 0.0]])
     matrix = _distance_matrix(coords, PlanarMetric())
     seeds = WRAPPING_SEEDS + [5, 6]
@@ -120,9 +123,9 @@ def test_seeding_advances_every_generator_by_k_draws(k):
 
 
 def test_coincident_points_fall_back_to_the_same_uniform_draws():
-    # Indices drawn one generator call at a time (random() while a run has
-    # distances, randrange once every remaining point coincides with a
-    # chosen one), before the draws came from one table.
+    # Indices pinned from a seeding that calls each generator once a step:
+    # random() while a run has distances, randrange once every remaining
+    # point coincides with a chosen one.
     matrix = _distance_matrix(np.zeros((6, 2)), PlanarMetric())
     chosen = _kmeanspp_batch(matrix, 5, [SplitMix64(seed) for seed in WRAPPING_SEEDS + [1]])
     assert chosen.tolist() == [[5, 2, 0, 4, 1], [5, 4, 0, 2, 3], [0, 5, 2, 1, 4], [3, 4, 5, 1, 0]]
