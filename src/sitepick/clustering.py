@@ -28,7 +28,7 @@ center, which the same members would give again bit for bit.
 
 Points, centers and labels travel as arrays: coordinates are (n, 2)
 [lat, lon] radian arrays, centers (k, 2) arrays of the same form, and a
-partition is one label per point in [0, k).
+partition is one integer label per point in [0, k).
 """
 
 from __future__ import annotations
@@ -283,23 +283,27 @@ def _validate_coords(coords: np.ndarray) -> None:
 
 def _checked_labels(coords: np.ndarray, labels: "list[int] | np.ndarray") -> np.ndarray:
     """`labels` as an array once coords pass `_validate_coords` and there is
-    one label per point."""
+    one integer label per point."""
     _validate_coords(coords)
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValidationError("labels must be a flat sequence")
     if labels.size != len(coords):
         raise ValidationError(f"{len(coords)} points but {labels.size} labels")
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValidationError(f"labels must be integers, got {labels.dtype}")
     return labels
 
 
 def _checked_weights(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
     """`weights` as float64 once coords pass `_validate_coords` and there is
-    one finite, positive weight per point."""
+    one finite, positive weight per point, in a flat sequence."""
     _validate_coords(coords)
     if len(weights) != len(coords):
         raise ValidationError(f"{len(coords)} points but {len(weights)} weights")
     w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1:
+        raise ValidationError("weights must be a flat sequence")
     if not (np.isfinite(w).all() and (w > 0.0).all()):
         raise ValidationError("weights must be finite and positive")
     return w

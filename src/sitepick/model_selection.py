@@ -36,10 +36,9 @@ less.
 Within a k, runs are scored in run order against the best so far, and a
 run whose exact upper bound on the Dunn index cannot beat it is dropped
 before any diameter is read. The bound is min_inter / largest reach (see
-`_dunn_from_matrix`); with three or more runs, `_dunn_bounds` finds both
-for every run after the first at once, from the stack of their labels.
-Ties keep the earlier run, so the winner is the one scoring every run
-would pick.
+`_sweep_cell`); `_dunn_bounds` finds both for every run at once, from the
+stack of their labels. Ties keep the earlier run, so the winner is the one
+scoring every run would pick.
 
 A k's restarts run as batches through one `_kmeans_batch` call. A batch's
 largest scratch array, its (runs, k, n) float64 dot products, is capped at
@@ -47,10 +46,12 @@ largest scratch array, its (runs, k, n) float64 dot products, is capped at
 or one run's n * k values when that is larger. Beside it each process keeps every
 run's labels and centers until the k is scored: 8 * runs_per_k * (n + 2k)
 bytes, 1.6 MB at runs_per_k = 100 and n = 2000. The bounds then stack those
-labels into one (runs_per_k - 1, n) array, with (runs_per_k - 1, k)
-anchors and temporaries of the stack's size: at their peak about 33 bytes
-per run and point, stack included, 6.5 MB at runs_per_k = 100 and
-n = 2000, a fifth of that quadrant's 32 MB matrix.
+labels into one (runs_per_k, n) array of the smallest unsigned type that
+holds k - 1, with (runs_per_k, k) anchors and temporaries of the stack's
+shape: at their peak about 26 bytes per run and point, 5.1 MB at
+runs_per_k = 100 and n = 2000, a sixth of that quadrant's 32 MB matrix.
+Of that, every point's float64 reach and the stack, 1.8 MB there, live
+until the k is scored.
 """
 
 from __future__ import annotations
@@ -156,11 +157,13 @@ def dunn_index(
     undefined; that raises DegenerateClusteringError rather than returning
     infinity, because such a partition carries no separation information.
     """
-    labels = _checked_labels(coords, labels)
-    if np.unique(labels).size < 2:
+    values, labels = np.unique(_checked_labels(coords, labels), return_inverse=True)
+    if values.size < 2:
         raise ValidationError("Dunn index needs at least two non-empty clusters")
     dist = _distance_matrix(coords, metric)
-    score = _dunn_from_matrix(dist, _spanning_tree(dist), labels, slack=metric.triangle_slack)
+    labels = labels.astype(np.min_scalar_type(values.size - 1))
+    (min_inter,), (reach,) = _dunn_bounds(dist, _spanning_tree(dist), labels[None], values.size)
+    score = _dunn_from_matrix(dist, labels, float(min_inter), reach, metric.triangle_slack)
     if score is None:
         raise DegenerateClusteringError(
             "every cluster has zero diameter; the Dunn ratio is undefined"
@@ -170,9 +173,9 @@ def dunn_index(
 
 def _spanning_tree(dist: np.ndarray) -> _Tree:
     """Minimum spanning tree of a symmetric distance matrix as its n - 1 edges
-    (a, b, w): index arrays a and b and float64 weights w, with w[i] the
-    matrix entry dist[a[i], b[i]]. Prim's algorithm over rows of `dist`,
-    O(n^2) time and O(n) scratch.
+    (a, b, w), lightest first: index arrays a and b and float64 weights w,
+    with w[i] the matrix entry dist[a[i], b[i]]. Prim's algorithm over rows
+    of `dist`, O(n^2) time and O(n) scratch.
 
     By the cut property every partition's closest pair of points in different
     clusters is joined by a tree edge, so the tree holds the minimum
@@ -196,33 +199,48 @@ def _spanning_tree(dist: np.ndarray) -> _Tree:
         closer = (row < gap) & outside
         gap[closer] = row[closer]
         nearest[closer] = joined
-    return a, b, w
+    order = w.argsort(kind="stable")
+    return a[order], b[order], w[order]
+
+
+def _dunn_bounds(
+    dist: np.ndarray, tree: _Tree, labels: np.ndarray, k: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Each run's minimum inter-cluster distance, (R,), and each point's
+    reach, (R, n), for an (R, n) stack of partitions labelled in [0, k),
+    each with two or more clusters, in a few array operations over all R
+    runs of `dist` and its `_spanning_tree`.
+
+    The closest inter-cluster pair is the first tree edge whose ends carry
+    different labels: the same matrix entry a search of all pairs finds. A
+    point's reach is its distance from its cluster's anchor, the lowest-index
+    member, found with one `np.minimum.at`. It is an intra-cluster entry, so
+    a run's largest reach bounds its largest diameter from below.
+    """
+    a, b, w = tree
+    runs, n = labels.shape
+    min_inter = w[(labels[:, a] != labels[:, b]).argmax(axis=1)]
+    bins = labels + k * np.arange(runs)[:, None]
+    anchors = np.full(runs * k, n)
+    np.minimum.at(anchors, bins.ravel(), np.tile(np.arange(n), runs))
+    return min_inter, dist.ravel()[anchors[bins] * n + np.arange(n)]
 
 
 def _dunn_from_matrix(
     dist: np.ndarray,
-    tree: _Tree,
     labels: np.ndarray,
-    to_beat: float = -math.inf,
+    min_inter_km: float,
+    reach: np.ndarray,
     slack: float = math.inf,
 ) -> DunnScore | None:
     """Dunn score of `labels` over a bitwise symmetric distance matrix with a
-    zero diagonal and its `_spanning_tree`, or None when the score cannot
-    exceed `to_beat` or the largest cluster diameter is zero (all-singleton/
-    coincident case). Needs two non-empty clusters. `slack` is the metric's
+    zero diagonal, given the run's minimum inter-cluster distance and its
+    points' reach from `_dunn_bounds`, or None when the largest cluster
+    diameter is zero (all-singleton/coincident case). Labels of a small
+    unsigned type sort fastest. `slack` is the metric's
     `triangle_slack`; the infinite default reads every intra-cluster entry.
 
-    The closest inter-cluster pair is the lightest tree edge whose ends carry
-    different labels: the same matrix entry a search of all pairs finds.
-    Before any diameter is read, each point's reach, its distance from its
-    cluster's anchor (the lowest-index member), is itself an intra-cluster
-    entry, so the largest reach bounds the largest diameter from below. IEEE
-    division is monotone, so min_inter / that bound bounds the score from
-    above bit for bit, and a run whose bound is at most `to_beat` is dropped
-    unscored. A zero bound proves nothing (the run may be degenerate), so
-    such a run is scored in full.
-
-    Then the largest diameter M, starting at that bound, is raised only by
+    The largest diameter M, starting at the largest reach, is raised only by
     entries the triangle inequality cannot rule out. With S =
     TRIANGLE_FACTOR and A = `slack`, computed entries satisfy d(i, j) <=
     (reach_i + reach_j) * S + A (see `DistanceMetric.triangle_slack`), so in
@@ -232,20 +250,16 @@ def _dunn_from_matrix(
     the anchor raises M, the cluster is done if 2 r S + A < M now holds, and
     else only members with (reach + r) S + A >= M can be in a pair above M:
     the max of their block finishes the cluster. Min and max are exact, so
-    the result is the all-pairs one whatever order edges, clusters and
-    members are visited in.
+    the result is the all-pairs one whatever order clusters and members are
+    visited in.
     """
-    a, b, w = tree
-    min_inter_km = float(w[labels[a] != labels[b]].min())
-    # A stable sort puts each cluster's members in index order, its lowest first.
-    order = np.argsort(labels, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), labels.size]
-    reach = dist[np.repeat(order[bounds[:-1]], np.diff(bounds)), order]
+    order = labels.argsort(kind="stable")
+    grouped = labels[order]
+    bounds = [0, *((grouped[1:] != grouped[:-1]).nonzero()[0] + 1).tolist(), labels.size]
+    reach = reach[order]
     radii = np.maximum.reduceat(reach, bounds[:-1])
     max_intra_km = float(radii.max())
-    if max_intra_km > 0.0 and min_inter_km / max_intra_km <= to_beat:
-        return None
-    for c in np.argsort(-radii, kind="stable").tolist():
+    for c in (-radii).argsort(kind="stable").tolist():
         r = float(radii[c])
         widest = 2.0 * r * TRIANGLE_FACTOR + slack  # no pair of the cluster is farther
         if widest < max_intra_km:
@@ -257,8 +271,7 @@ def _dunn_from_matrix(
             max_intra_km = float(dist[keep[:, None], keep].max(initial=max_intra_km))
     if max_intra_km == 0.0:
         return None
-    score = DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
-    return score if score.value > to_beat else None
+    return DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
 
 
 # The quadrant whose cell this process ran last: its index in the
@@ -266,26 +279,6 @@ def _dunn_from_matrix(
 # worker keeps it from one cell to the next; the calling process clears it
 # when the call ends.
 _QUADRANT: Optional[tuple[int, np.ndarray, _Tree]] = None
-
-
-def _dunn_bounds(
-    dist: np.ndarray, tree: _Tree, labels: np.ndarray, k: int
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Each run's minimum inter-cluster distance and largest reach, for an
-    (R, n) stack of partitions into k non-empty clusters, in a few array
-    operations over all R runs. They are the entries `_dunn_from_matrix`
-    bounds a run's score with: the lightest tree edge between clusters, and
-    the largest distance of a point from its cluster's lowest-index member,
-    found with one `np.minimum.at`. Min and max are exact, so each is the
-    value that function reads for the run."""
-    a, b, w = tree
-    runs, n = labels.shape
-    min_inter = np.where(labels[:, a] != labels[:, b], w, np.inf).min(axis=1)
-    bins = labels + k * np.arange(runs)[:, None]
-    anchors = np.full(runs * k, n)
-    np.minimum.at(anchors, bins.ravel(), np.tile(np.arange(n), runs))
-    reach = dist.ravel()[anchors[bins] * n + np.arange(n)].max(axis=1)
-    return min_inter, reach
 
 
 def _sweep_cell(
@@ -303,14 +296,13 @@ def _sweep_cell(
     matrix and tree are built on this process's first cell of it, after the
     previous quadrant's are dropped, so a process holds one at a time.
 
-    Runs are scored in run order against the best so far. A run whose exact
-    upper bound, min_inter / largest reach, cannot beat it is dropped before
-    its diameters are read: such a run could at best tie, and ties keep the
-    earlier run. `_dunn_from_matrix` applies that bound itself. With two or
-    more runs after the first, which has nothing to beat, their bounds come
-    from one `_dunn_bounds` call instead, and a dropped run is never passed
-    on; one run's bound costs as much batched as it does there, where a run
-    that survives reuses it.
+    One `_dunn_bounds` call gives every run's min_inter and reach. Runs are
+    then scored in run order against the best so far. IEEE division is
+    monotone, so min_inter / largest reach bounds a run's score from above
+    bit for bit, and a run whose bound is at most the best score is dropped
+    before its diameters are read: it could at best tie, and ties keep the
+    earlier run. A zero reach proves nothing (the run may be degenerate), so
+    such a run is scored in full.
     """
     global _QUADRANT
     if _QUADRANT is None or _QUADRANT[0] != quadrant:
@@ -320,20 +312,16 @@ def _sweep_cell(
     _, dist, tree = _QUADRANT
     seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
     runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
-    upper = [math.inf] * runs_per_k
-    if runs_per_k > 2:
-        later = np.stack([labels for _, labels, _, _ in runs[1:]])
-        min_inter, reach = (bound.tolist() for bound in _dunn_bounds(dist, tree, later, k))
-        # A zero reach proves nothing (the run may be degenerate).
-        upper[1:] = [m / r if r > 0.0 else math.inf for m, r in zip(min_inter, reach)]
+    stack = np.stack([labels for _, labels, _, _ in runs]).astype(np.min_scalar_type(k - 1))
+    min_inter, reach = _dunn_bounds(dist, tree, stack, k)
     best: Optional[KBest] = None
-    for run, (seed, (centers, labels, iterations, converged)) in enumerate(zip(seeds, runs)):
-        if best is not None and upper[run] <= best.dunn.value:
+    for run, (m, r) in enumerate(zip(min_inter.tolist(), reach.max(axis=1).tolist())):
+        if best is not None and r > 0.0 and m / r <= best.dunn.value:
             continue
-        to_beat = -math.inf if best is None else best.dunn.value
-        score = _dunn_from_matrix(dist, tree, labels, to_beat, metric.triangle_slack)
-        if score is not None:
-            best = KBest(run, seed, centers, labels, iterations, converged, score)
+        score = _dunn_from_matrix(dist, stack[run], m, reach[run], metric.triangle_slack)
+        if score is not None and (best is None or score.value > best.dunn.value):
+            # A run is (centers, labels, iterations, converged), as in KBest.
+            best = KBest(run, seeds[run], *runs[run], score)
     return best
 
 

@@ -5,6 +5,7 @@ written with plain Python loops and the scalar distance function so it shares
 no code path with the implementation under test.
 """
 
+import functools
 import itertools
 import math
 
@@ -683,17 +684,33 @@ def _not_finite_n_by_2_floats(coords):
     ]
 
 
-@pytest.mark.parametrize("coords", _not_finite_n_by_2_floats(GROUPED))
+_ENTRY_POINTS = {
+    "kmeans": lambda coords, weights=GROUPED_WEIGHTS: kmeans(coords, weights, k=2),
+    "weighted_center": lambda coords, weights=GROUPED_WEIGHTS: weighted_center(coords, weights),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        pytest.param(lambda coords: kmeans(coords, GROUPED_WEIGHTS, k=2), id="kmeans"),
-        pytest.param(lambda coords: weighted_center(coords, GROUPED_WEIGHTS), id="weighted_center"),
+        *(
+            pytest.param(functools.partial(call, *coords.values), "coords must be",
+                         id=f"{name}-{coords.id}")
+            for name, call in _ENTRY_POINTS.items()
+            for coords in _not_finite_n_by_2_floats(GROUPED)
+        ),
+        # Weights that are not flat, one per point.
+        *(
+            pytest.param(functools.partial(call, GROUPED, np.ones((len(GROUPED), columns))),
+                         "weights must be a flat", id=f"{name}-{columns}-column-weights")
+            for name, call in _ENTRY_POINTS.items()
+            for columns in (1, 2)
+        ),
     ],
 )
-def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, coords):
-    with pytest.raises(ValidationError, match="coords must be"):
-        call(coords)
+def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 @settings(max_examples=40)

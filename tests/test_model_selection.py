@@ -7,6 +7,7 @@ the vectorized implementation under test.
 """
 
 import dataclasses
+import functools
 import math
 import os
 from concurrent.futures import Future
@@ -29,7 +30,7 @@ from sitepick.geo import EarthModel, coords_array, from_degrees, haversine
 from sitepick.model_selection import (
     DunnScore,
     SweepResult,
-    _dunn_from_matrix,
+    _dunn_bounds,
     _pool_size,
     _spanning_tree,
     default_k_max,
@@ -374,10 +375,11 @@ def test_spanning_tree_spans_and_holds_the_closest_inter_cluster_pair(data):
     assert w[labels[a] != labels[b]].min() == min_inter
     intra = dist[iu, iv][same]
     max_intra = intra.max() if intra.size else 0.0
-    score = _dunn_from_matrix(dist, (a, b, w), labels)
     if max_intra == 0.0:
-        assert score is None
+        with pytest.raises(DegenerateClusteringError):
+            dunn_index(coords, labels, metric=PlanarMetric())
     else:
+        score = dunn_index(coords, labels, metric=PlanarMetric())
         assert score == DunnScore(min_inter / max_intra, min_inter, max_intra)
 
 
@@ -752,52 +754,94 @@ def test_sweep_keeps_the_run_that_scoring_every_run_keeps(data):
         assert _bits(kb.dunn) == _bits(score)
 
 
-def _upper_bound_by_hand(dist, labels):
-    """min_inter / largest reach of one run, over all pairs, or None when no
-    point lies away from its cluster's lowest-index member."""
+def _bounds_by_hand(dist, labels):
+    """min_inter of one run over all pairs, and each point's reach: its
+    distance from its cluster's lowest-index member."""
     min_inter = float(dist[labels[:, None] != labels[None, :]].min())
     anchor = {}
     for point, label in enumerate(labels.tolist()):
         anchor.setdefault(label, point)
-    reach = max(float(dist[anchor[label], point]) for point, label in enumerate(labels.tolist()))
-    return min_inter / reach if reach > 0.0 else None
+    return min_inter, [float(dist[anchor[label], point]) for point, label in enumerate(labels.tolist())]
+
+
+def _upper_bound_by_hand(dist, labels):
+    """min_inter / largest reach of one run, over all pairs, or None when no
+    point lies away from its cluster's lowest-index member."""
+    min_inter, reach = _bounds_by_hand(dist, labels)
+    return min_inter / max(reach) if max(reach) > 0.0 else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dunn_bounds_are_each_runs_all_pairs_min_inter_and_anchor_distances(data):
+    metric = data.draw(st.sampled_from([HaversineMetric(), PlanarMetric()]))
+    # Few distinct spots: zero and equal distances within and across clusters.
+    spots = data.draw(st.lists(st.builds(from_degrees, st.floats(-60.0, 60.0),
+                                         st.floats(-180.0, 180.0)), min_size=1, max_size=6))
+    n = data.draw(st.integers(2, 20))
+    coords = coords_array([spots[i] for i in data.draw(
+        st.lists(st.integers(0, len(spots) - 1), min_size=n, max_size=n))])
+    k = data.draw(st.integers(2, n))
+    dtype = data.draw(st.sampled_from([np.intp, np.uint8]))
+    label_runs = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        labels[data.draw(st.permutations(range(n)))[:2]] = data.draw(
+            st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        label_runs.append(labels.astype(dtype))
+    dist = _distance_matrix(coords, metric)
+    min_inter, reach = _dunn_bounds(dist, _spanning_tree(dist), np.stack(label_runs), k)
+    assert min_inter.shape == (len(label_runs),) and reach.shape == (len(label_runs), n)
+    for run, labels in enumerate(label_runs):
+        assert (min_inter[run], reach[run].tolist()) == _bounds_by_hand(dist, labels)
 
 
 def _score_cell(coords, metric, k, label_runs):
     """(`_dunn_from_matrix` calls, KBest) of `_sweep_cell` on crafted runs."""
     runs = [(np.zeros((k, 2)), labels, 1, True) for labels in label_runs]
-    called = []
+    called, stacks = [], []
+    bounds = sitepick.model_selection._dunn_bounds
     score = sitepick.model_selection._dunn_from_matrix
 
-    def recording(dist, tree, labels, *args):
-        called.append(next(run for run, given in enumerate(label_runs) if given is labels))
-        return score(dist, tree, labels, *args)
+    def bounding(dist, tree, labels, k):
+        stacks.append(labels)
+        return bounds(dist, tree, labels, k)
+
+    def recording(dist, labels, *args):
+        # The labels a run is scored with are its row of the bounds' stack.
+        called.append(next(run for run, row in enumerate(stacks[0]) if np.shares_memory(labels, row)))
+        return score(dist, labels, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sitepick.model_selection, "_QUADRANT", None)
         patch.setattr(sitepick.model_selection, "_kmeans_batch", lambda *args: runs)
+        patch.setattr(sitepick.model_selection, "_dunn_bounds", bounding)
         patch.setattr(sitepick.model_selection, "_dunn_from_matrix", recording)
         best = sitepick.model_selection._sweep_cell(
             0, coords, np.ones(len(coords)), len(runs), 0, metric, 1, k
         )
+    assert len(stacks) == 1 and np.array_equal(stacks[0], label_runs)
     return called, best
 
 
 def _expected_scoring(coords, metric, label_runs):
-    """The runs the bound inside `_dunn_from_matrix` lets through, in run
-    order, and the best run found by scoring every run with nothing to beat."""
+    """The runs an all-pairs bound lets through, in run order, and the best
+    run found by scoring every run with nothing to beat."""
     dist = _distance_matrix(coords, metric)
-    tree = _spanning_tree(dist)
-    slack = metric.triangle_slack
+    scores = []
+    for labels in label_runs:
+        try:
+            scores.append(dunn_index(coords, labels, metric=metric))
+        except DegenerateClusteringError:
+            scores.append(None)
     kept, best = [], None
     for run, labels in enumerate(label_runs):
         bound = _upper_bound_by_hand(dist, labels)
-        if best is not None and bound is not None and bound <= best.value:
+        if best is not None and bound is not None and bound <= best:
             continue
         kept.append(run)
-        to_beat = -math.inf if best is None else best.value
-        best = _dunn_from_matrix(dist, tree, labels, to_beat, slack) or best
-    scores = [_dunn_from_matrix(dist, tree, labels, -math.inf, slack) for labels in label_runs]
+        if scores[run] is not None and (best is None or scores[run].value > best):
+            best = scores[run].value
     scored = [run for run, score in enumerate(scores) if score is not None]
     winner = max(scored, key=lambda run: scores[run].value, default=None)
     return kept, winner, None if winner is None else scores[winner]
@@ -806,9 +850,7 @@ def _expected_scoring(coords, metric, label_runs):
 def _check_cell(coords, metric, k, label_runs):
     called, best = _score_cell(coords, metric, k, label_runs)
     kept, winner, score = _expected_scoring(coords, metric, label_runs)
-    # With one run after the first, that run goes to `_dunn_from_matrix`,
-    # which applies the same bound itself.
-    assert called == (kept if len(label_runs) > 2 else list(range(len(label_runs))))
+    assert called == kept
     if winner is None:
         assert best is None
     else:
@@ -944,19 +986,38 @@ def _not_finite_n_by_2_floats(coords):
     ]
 
 
-@pytest.mark.parametrize("coords", _not_finite_n_by_2_floats(coords_array(FOUR_PAIR_POINTS)))
+_ENTRY_POINTS = {
+    "sweep": lambda coords: sweep(coords, FOUR_PAIR_WEIGHTS, runs_per_k=2),
+    "dunn_index": lambda coords: dunn_index(coords, [0, 0, 1, 1, 2, 2, 3, 3]),
+}
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, match",
     [
-        pytest.param(lambda coords: sweep(coords, FOUR_PAIR_WEIGHTS, runs_per_k=2), id="sweep"),
-        pytest.param(
-            lambda coords: dunn_index(coords, [0, 0, 1, 1, 2, 2, 3, 3]), id="dunn_index"
+        *(
+            pytest.param(functools.partial(call, *coords.values), "coords must be",
+                         id=f"{name}-{coords.id}")
+            for name, call in _ENTRY_POINTS.items()
+            for coords in _not_finite_n_by_2_floats(coords_array(FOUR_PAIR_POINTS))
+        ),
+        # Labels that are not integers, and weights that are not flat: with
+        # two workers these must fail before a pool starts.
+        pytest.param(lambda: dunn_index(TWO_BAND, np.array([0.0, 0.0, 1.0, np.nan])),
+                     "labels must be integers", id="dunn_index-nan-labels"),
+        pytest.param(lambda: dunn_index(TWO_BAND, np.array(["a", "a", "b", "b"])),
+                     "labels must be integers", id="dunn_index-string-labels"),
+        *(
+            pytest.param(lambda shape=shape: sweep(coords_array(FOUR_PAIR_POINTS), np.ones(shape),
+                                                   runs_per_k=2, workers=2),
+                         "weights must be a flat", id=f"sweep-{shape[1]}-column-weights")
+            for shape in [(8, 1), (8, 2)]
         ),
     ],
 )
-def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, coords):
-    with pytest.raises(ValidationError, match="coords must be"):
-        call(coords)
+def test_entry_points_reject_coords_that_are_not_finite_n_by_2_floats(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 # --- whole sphere ---

@@ -114,6 +114,8 @@ def test_select_representatives_rejects_bad_input():
         select_representatives(coords_array(points), np.array([0, 1]), nan)
     with pytest.raises(ValidationError):
         select_representatives(coords_array(points), np.array([[0, 1]]), coords_array(centers))
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        select_representatives(coords_array(points), np.array([0.0, 1.5]), coords_array(centers))
     with pytest.raises(ValidationError):
         select_representatives(coords_array(points), np.array([0, 0]), coords_array(centers)[0])
 
