@@ -150,7 +150,7 @@ def dunn_index(
     metric: DistanceMetric = HaversineMetric(),
 ) -> DunnScore:
     """Minimum pointwise inter-cluster distance over maximum cluster diameter
-    of an (n, 2) [lat, lon] radian array partitioned by one label per point.
+    of an (n, 2) [lat, lon] radian array, given one integer label per point.
 
     Needs at least two non-empty clusters. When every cluster is a bundle of
     coincident points the largest diameter is zero and the ratio is
