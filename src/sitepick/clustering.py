@@ -22,9 +22,10 @@ Restarts of one k run as a batch (`_kmeans_batch`): seeding, assignment and
 center update each take all of the batch's runs in one array operation, and
 every run's result is bitwise the one it gives alone, as a batch of one.
 Seeding draws every run's k random numbers up front, as one table of its
-generator's next outputs. After the first pass, the update recomputes only
-the clusters some point entered or left; every other cluster keeps its
-center, which the same members would give again bit for bit.
+generator's next outputs. Each pass's update recomputes only the clusters
+some point entered or left since the pass before, where the first pass
+counts every point as moved; every other cluster keeps its center, which
+the same members would give again bit for bit.
 
 Points, centers and labels travel as arrays: coordinates are (n, 2)
 [lat, lon] radian arrays, centers (k, 2) arrays of the same form, and a
@@ -320,7 +321,8 @@ def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> 
     if len(coords) == 0:
         raise EmptyClusterError("cannot take the center of an empty cluster")
     labels = np.zeros(len(coords), dtype=np.int64)
-    return _update_centers(coords, w, w[:, None] * coords, labels, 1)[0]
+    unset = np.full((1, 2), np.nan)  # every point moves from label -1, so none is kept
+    return _update_centers(coords, w, w[:, None] * coords, labels, 1, labels - 1, unset)[0]
 
 
 def _kmeanspp_batch(matrix: np.ndarray, k: int, rngs: "list[SplitMix64]") -> np.ndarray:
@@ -406,7 +408,8 @@ def _update_centers(
     weighted: np.ndarray,
     labels: np.ndarray,
     k: int,
-    previous: "tuple[np.ndarray, np.ndarray] | None" = None,
+    old_labels: np.ndarray,
+    old_centers: np.ndarray,
 ) -> np.ndarray:
     """Weighted per-coordinate mean of every cluster, in one pass: (k, 2) for
     one partition given as (n,) labels, (R, k, 2) for R of them as (R, n).
@@ -423,11 +426,12 @@ def _update_centers(
     (clusters, size) array, which sums each row as the 1-D reduce does, and
     a size only one cluster has keeps the 1-D reduce.
 
-    `previous`, when given, is the labels and the centers made from them on
-    the pass before, shaped as `labels` and the result. A cluster no point
-    entered or left has the same members, lowest-index member and sums, so
-    it keeps its previous center bit for bit, and only the points of the
-    other clusters are read.
+    `old_labels` and `old_centers` are the labels of the pass before and the
+    centers made from them, shaped as `labels` and the result. A cluster no
+    point entered or left has the same members, lowest-index member and sums,
+    so it keeps its old center bit for bit, and only the points of the other
+    clusters are read. Old labels of -1, which no pass gives, move every
+    point, so every cluster is recomputed and no old center is kept.
     """
     n = coords.shape[0]
     runs = labels.size // n
@@ -436,25 +440,19 @@ def _update_centers(
     counts = np.bincount(bins, minlength=runs * k)
     if not counts.all():
         raise EmptyClusterError(f"cluster {int(counts.argmin()) % k} lost all members")
-    if previous is None:
-        changed = np.ones(runs * k, dtype=bool)
-        centers = np.empty((runs * k, 2))
-    else:
-        old_labels, old_centers = previous
-        moved = (labels != old_labels).ravel()
-        changed = np.zeros(runs * k, dtype=bool)
-        changed[bins[moved]] = True
-        changed[(old_labels.reshape(runs, n) + offsets).ravel()[moved]] = True
-        centers = old_centers.reshape(runs * k, 2).copy()
-        picked = changed[bins].nonzero()[0]
-        if picked.size == 0:
-            return centers.reshape(labels.shape[:-1] + (k, 2))
-        bins = bins[picked]
+    moved = (labels != old_labels).ravel()
+    changed = np.zeros(runs * k, dtype=bool)
+    changed[bins[moved]] = True
+    changed[(old_labels.reshape(runs, n) + offsets).ravel()[moved]] = True
+    centers = old_centers.reshape(runs * k, 2).copy()
+    picked = changed[bins].nonzero()[0]
+    if picked.size == 0:
+        return centers.reshape(labels.shape[:-1] + (k, 2))
     # Array methods stand in for numpy's Python-level function wrappers
     # below, which cost as much as the work on arrays this small. The
     # smallest unsigned type that holds every bin lets numpy radix-sort.
-    order = bins.astype(np.min_scalar_type(runs * k - 1)).argsort(kind="stable")
-    members = (order if previous is None else picked[order]) % n
+    order = bins[picked].astype(np.min_scalar_type(runs * k - 1)).argsort(kind="stable")
+    members = picked[order] % n
     sizes = counts[changed]
     starts = sizes.cumsum() - sizes
     sorted_weights = weights[members]
@@ -499,10 +497,11 @@ def _kmeans_batch(
     metric: DistanceMetric,
     seeds: "list[int]",
     max_iterations: int,
-) -> "list[tuple[np.ndarray, np.ndarray, int, bool]]":
-    """(centers, labels, iterations, converged) of one seeded run per seed, in
-    seed order; `matrix` is `_distance_matrix(coords, metric)`, and callers
-    check max_iterations >= 1.
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+    """One seeded run per seed, in seed order, as four arrays whose row s is
+    run s: centers (S, k, 2), labels (S, n) intp, iterations (S,) and
+    converged (S,). `matrix` is `_distance_matrix(coords, metric)`, and
+    callers check max_iterations >= 1.
 
     Runs go through seeding, assignment and center update together, in
     batches of at most _BATCH_ELEMENTS // (n * k) runs. A run that empties a
@@ -514,11 +513,13 @@ def _kmeans_batch(
     size = max(1, _BATCH_ELEMENTS // (n * k))
     assign = metric.assigner(coords, min(size, len(seeds)), k)
     weighted = weights[:, None] * coords
-    results: "list[tuple[np.ndarray, np.ndarray, int, bool]]" = []
+    out_centers = np.empty((len(seeds), k, 2))
+    out_labels = np.empty((len(seeds), n), dtype=np.intp)
+    iterations = np.full(len(seeds), max_iterations)
+    converged = np.zeros(len(seeds), dtype=bool)
     for start in range(0, len(seeds), size):
         batch = seeds[start : start + size]
-        done: list = [None] * len(batch)
-        live = np.arange(len(batch))  # batch positions of the runs still iterating
+        live = np.arange(start, start + len(batch))  # the runs still iterating
         centers = coords[_kmeanspp_batch(matrix, k, [SplitMix64(seed) for seed in batch])]
         labels = np.full((len(batch), n), -1)  # matches no pass's labels
         for iteration in range(1, max_iterations + 1):
@@ -528,20 +529,20 @@ def _kmeans_batch(
             for run in np.flatnonzero((counts == 0).any(axis=1)):
                 dist = metric.pairwise(coords, centers[run])
                 _repair_empty_clusters(matrix, dist, new_labels[run])
-            converged = (new_labels == labels).all(axis=1)
-            for run in np.flatnonzero(converged):
-                done[live[run]] = (centers[run].copy(), new_labels[run].copy(), iteration, True)
-            live, centers = live[~converged], centers[~converged]
-            # The seed centers of the first pass come from no labels.
-            previous = None if iteration == 1 else (labels[~converged], centers)
-            labels = new_labels[~converged]
+            done = (new_labels == labels).all(axis=1)
+            out_centers[live[done]] = centers[done]
+            out_labels[live[done]] = new_labels[done]
+            iterations[live[done]] = iteration
+            converged[live[done]] = True
+            live, centers, labels = live[~done], centers[~done], labels[~done]
             if live.size == 0:
                 break
-            centers = _update_centers(coords, weights, weighted, labels, k, previous)
-        for run, position in enumerate(live.tolist()):
-            done[position] = (centers[run].copy(), labels[run].copy(), max_iterations, False)
-        results += done
-    return results
+            new_labels = new_labels[~done]
+            centers = _update_centers(coords, weights, weighted, new_labels, k, labels, centers)
+            labels = new_labels
+        out_centers[live] = centers
+        out_labels[live] = labels
+    return out_centers, out_labels, iterations, converged
 
 
 def kmeans(
@@ -567,16 +568,12 @@ def kmeans(
         raise ValidationError(f"k must be in [1, {n}], got {k}")
     if max_iterations < 1:
         raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
-    ((centers, labels, iterations, converged),) = _kmeans_batch(
+    centers, labels, iterations, converged = _kmeans_batch(
         _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )
-    return ClusteringResult(
-        centers=centers,
-        labels=labels,
-        iterations=iterations,
-        converged=converged,
-        objective=_objective_core(coords, w, centers, labels, metric),
-    )
+    centers, labels = centers[0], labels[0]
+    return ClusteringResult(centers, labels, int(iterations[0]), bool(converged[0]),
+                            _objective_core(coords, w, centers, labels, metric))
 
 
 def _objective_core(

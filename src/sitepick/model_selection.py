@@ -311,8 +311,10 @@ def _sweep_cell(
         _QUADRANT = (quadrant, dist, _spanning_tree(dist))
     _, dist, tree = _QUADRANT
     seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
-    runs = _kmeans_batch(dist, coords, weights, k, metric, seeds, max_iterations)
-    stack = np.stack([labels for _, labels, _, _ in runs]).astype(np.min_scalar_type(k - 1))
+    centers, labels, iterations, converged = _kmeans_batch(
+        dist, coords, weights, k, metric, seeds, max_iterations
+    )
+    stack = labels.astype(np.min_scalar_type(k - 1))
     min_inter, reach = _dunn_bounds(dist, tree, stack, k)
     best: Optional[KBest] = None
     for run, (m, r) in enumerate(zip(min_inter.tolist(), reach.max(axis=1).tolist())):
@@ -320,8 +322,8 @@ def _sweep_cell(
             continue
         score = _dunn_from_matrix(dist, stack[run], m, reach[run], metric.triangle_slack)
         if score is not None and (best is None or score.value > best.dunn.value):
-            # A run is (centers, labels, iterations, converged), as in KBest.
-            best = KBest(run, seeds[run], *runs[run], score)
+            best = KBest(run, seeds[run], centers[run].copy(), labels[run].copy(),
+                         int(iterations[run]), bool(converged[run]), score)
     return best
 
 

@@ -312,8 +312,15 @@ def reference_centers(coords, weights, labels, k):
     return centers
 
 
+def full_update(coords, weights, weighted, labels, k):
+    """`_update_centers` from a pass before of -1 labels, which moves every
+    point, with NaN old centers, which must all be replaced."""
+    unset = np.full(labels.shape[:-1] + (k, 2), np.nan)
+    return _update_centers(coords, weights, weighted, labels, k, np.full_like(labels, -1), unset)
+
+
 def vectorised_centers(coords, weights, labels, k):
-    return _update_centers(coords, weights, weights[:, None] * coords, labels, k)
+    return full_update(coords, weights, weights[:, None] * coords, labels, k)
 
 
 def same_bits(a, b):
@@ -398,9 +405,9 @@ def _passes(draw):
 def test_update_centers_from_the_previous_pass_is_the_full_update(case):
     coords, weights, k, before, after = case
     weighted = weights[:, None] * coords
-    previous = (before, _update_centers(coords, weights, weighted, before, k))
-    got = _update_centers(coords, weights, weighted, after, k, previous)
-    assert same_bits(got, _update_centers(coords, weights, weighted, after, k))
+    previous = full_update(coords, weights, weighted, before, k)
+    got = _update_centers(coords, weights, weighted, after, k, before, previous)
+    assert same_bits(got, full_update(coords, weights, weighted, after, k))
     for labels, centers in zip(after.reshape(-1, len(coords)), got.reshape(-1, k, 2)):
         assert same_bits(centers, reference_centers(coords, weights, labels, k))
 
@@ -765,12 +772,15 @@ def reference_run(matrix, coords, weights, k, metric, seed, max_iterations):
     return centers, labels, max_iterations, False
 
 
-def same_run(a, b):
+def same_run(batch, run, want):
+    """Whether row `run` of a `_kmeans_batch` result is the run `want`, given
+    as (centers, labels, iterations, converged)."""
+    centers, labels, iterations, converged = batch
     return (
-        a[0].tobytes() == b[0].tobytes()
-        and np.array_equal(a[1], b[1])
-        and a[2] == b[2]
-        and a[3] == b[3]
+        centers[run].tobytes() == want[0].tobytes()
+        and np.array_equal(labels[run], want[1])
+        and iterations[run] == want[2]
+        and converged[run] == want[3]
     )
 
 
@@ -803,17 +813,21 @@ def test_each_run_of_a_batch_is_the_run_alone(case, data):
     coords, weights, k, metric, seeds, max_iterations = case
     matrix = _distance_matrix(coords, metric)
     args = (matrix, coords, weights, k, metric)
-    alone = [_kmeans_batch(*args, [seed], max_iterations)[0] for seed in seeds]
-    for seed, run in zip(seeds, alone):
-        assert same_run(run, reference_run(*args, seed, max_iterations))
+    alone = [_kmeans_batch(*args, [seed], max_iterations) for seed in seeds]
+    for seed, batch in zip(seeds, alone):
+        assert same_run(batch, 0, reference_run(*args, seed, max_iterations))
     whole = _kmeans_batch(*args, seeds, max_iterations)
     per_batch = data.draw(st.integers(1, len(seeds)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_BATCH_ELEMENTS", per_batch * coords.shape[0] * k)
         chunked = _kmeans_batch(*args, seeds, max_iterations)
+    n = coords.shape[0]
     for runs in (whole, chunked):
-        assert len(runs) == len(seeds)
-        assert all(same_run(got, want) for got, want in zip(runs, alone))
+        assert [a.shape for a in runs] == [(len(seeds), k, 2), (len(seeds), n),
+                                           (len(seeds),), (len(seeds),)]
+        assert runs[1].dtype == np.intp and runs[3].dtype == bool
+        for run, batch in enumerate(alone):
+            assert same_run(runs, run, [a[0] for a in batch])
 
 
 def test_batch_scratch_does_not_grow_with_the_number_of_runs(monkeypatch):

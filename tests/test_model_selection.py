@@ -513,9 +513,14 @@ def test_serial_sweep_builds_each_quadrant_matrix_once_and_keeps_none(monkeypatc
 
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
     quadrants = _scattered_quadrants([9, 10, 11])
-    sweep_quadrants([(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=2)
+    results = list(sweep_quadrants(
+        [(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=2
+    ))
     assert builds == [9, 10, 11]
     assert sitepick.model_selection._QUADRANT is None
+    # A view would keep its k's whole (runs_per_k, n) batch alive.
+    assert all(best.centers.base is None and best.labels.base is None
+               for result in results for best in result.per_k.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -798,7 +803,8 @@ def test_dunn_bounds_are_each_runs_all_pairs_min_inter_and_anchor_distances(data
 
 def _score_cell(coords, metric, k, label_runs):
     """(`_dunn_from_matrix` calls, KBest) of `_sweep_cell` on crafted runs."""
-    runs = [(np.zeros((k, 2)), labels, 1, True) for labels in label_runs]
+    runs = (np.zeros((len(label_runs), k, 2)), np.stack(label_runs),
+            np.ones(len(label_runs), dtype=np.intp), np.ones(len(label_runs), dtype=bool))
     called, stacks = [], []
     bounds = sitepick.model_selection._dunn_bounds
     score = sitepick.model_selection._dunn_from_matrix
@@ -818,7 +824,7 @@ def _score_cell(coords, metric, k, label_runs):
         patch.setattr(sitepick.model_selection, "_dunn_bounds", bounding)
         patch.setattr(sitepick.model_selection, "_dunn_from_matrix", recording)
         best = sitepick.model_selection._sweep_cell(
-            0, coords, np.ones(len(coords)), len(runs), 0, metric, 1, k
+            0, coords, np.ones(len(coords)), len(label_runs), 0, metric, 1, k
         )
     assert len(stacks) == 1 and np.array_equal(stacks[0], label_runs)
     return called, best
@@ -855,7 +861,7 @@ def _check_cell(coords, metric, k, label_runs):
         assert best is None
     else:
         assert (best.run_index, _bits(best.dunn)) == (winner, _bits(score))
-        assert best.labels is label_runs[winner]
+        assert np.array_equal(best.labels, label_runs[winner])
 
 
 @settings(max_examples=150, deadline=None)
