@@ -296,6 +296,16 @@ def _checked_labels(coords: np.ndarray, labels: "list[int] | np.ndarray") -> np.
     return labels
 
 
+def _checked_integer(name: str, value: object, least: "int | None" = None) -> int:
+    """`value` as an int once it is an integer (a numpy one counts) and, when
+    `least` is given, at least `least`."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _checked_weights(coords: np.ndarray, weights: "list[float] | np.ndarray") -> np.ndarray:
     """`weights` as float64 once coords pass `_validate_coords` and there is
     one finite, positive weight per point, in a flat sequence."""
@@ -564,10 +574,10 @@ def kmeans(
     """
     w = _checked_weights(coords, weights)
     n = len(coords)
+    k, seed = _checked_integer("k", k), _checked_integer("seed", seed)
     if not 1 <= k <= n:
         raise ValidationError(f"k must be in [1, {n}], got {k}")
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
+    max_iterations = _checked_integer("max_iterations", max_iterations, 1)
     centers, labels, iterations, converged = _kmeans_batch(
         _distance_matrix(coords, metric), coords, w, k, metric, [seed], max_iterations
     )

@@ -43,15 +43,16 @@ scoring every run would pick.
 A k's restarts run as batches through one `_kmeans_batch` call. A batch's
 largest scratch array, its (runs, k, n) float64 dot products, is capped at
 `_BATCH_ELEMENTS` = 2**18 values (2 MB) per process whatever runs_per_k is,
-or one run's n * k values when that is larger. Beside it each process keeps every
-run's labels and centers until the k is scored: 8 * runs_per_k * (n + 2k)
-bytes, 1.6 MB at runs_per_k = 100 and n = 2000. The bounds then stack those
-labels into one (runs_per_k, n) array of the smallest unsigned type that
-holds k - 1, with (runs_per_k, k) anchors and temporaries of the stack's
-shape: at their peak about 26 bytes per run and point, 5.1 MB at
-runs_per_k = 100 and n = 2000, a sixth of that quadrant's 32 MB matrix.
-Of that, every point's float64 reach and the stack, 1.8 MB there, live
-until the k is scored.
+or one run's n * k values when that is larger. Beside it each process keeps
+every run's labels and centers, the (runs_per_k, n) and (runs_per_k, k, 2)
+arrays `_kmeans_batch` returns, until the k is scored: 8 * runs_per_k *
+(n + 2k) bytes, 1.6 MB at runs_per_k = 100 and n = 2000. A KBest copies
+its run's rows, so no result keeps them alive. The bounds read a stack of
+those labels in the smallest unsigned type that holds k - 1, with
+(runs_per_k, k) anchors and temporaries of the stack's shape: at their
+peak about 26 bytes per run and point, 5.1 MB at runs_per_k = 100 and
+n = 2000, a sixth of that quadrant's 32 MB matrix. Of that, every point's
+float64 reach and the stack, 1.8 MB there, live until the k is scored.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .clustering import (
     DistanceMetric,
     HaversineMetric,
     TRIANGLE_FACTOR,
+    _checked_integer,
     _checked_labels,
     _checked_weights,
     _distance_matrix,
@@ -133,10 +135,10 @@ def default_k_max(n: int) -> int:
 def candidate_ks(n: int, k_range: Iterable[int] | None = None) -> Sequence[int]:
     """The candidate ks of a quadrant of n points, ascending: 2 to
     default_k_max(n) when k_range is None, else k_range's distinct values,
-    of which there must be at least one and each in [2, n]."""
+    of which there must be at least one and each an integer in [2, n]."""
     if k_range is None:
         return range(2, default_k_max(n) + 1)
-    ks = sorted(set(int(k) for k in k_range))
+    ks = sorted(set(_checked_integer("candidate k", k) for k in k_range))
     if not ks:
         raise ValidationError("no candidate k values to sweep")
     if ks[0] < 2 or ks[-1] > n:
@@ -359,19 +361,18 @@ def sweep_quadrants(
     settings shared, through at most one process pool for all their
     (quadrant, k) cells.
 
-    The call checks runs_per_k >= 1, max_iterations >= 1, workers >= 1 and
-    every quadrant before it starts a pool or builds a matrix, then
-    runs every cell, and raises the first error either finds. It returns an
+    The call checks that runs_per_k, max_iterations and workers are
+    integers >= 1, that base_seed is an integer, and every quadrant before
+    it starts a pool or builds a matrix, then runs every cell, and raises
+    the first error either finds. It returns an
     iterator over the quadrants' SweepResults, in order; a quadrant whose
     runs were all degenerate raises SweepError when the iterator reaches it.
     """
     global _QUADRANT
-    if runs_per_k < 1:
-        raise ValidationError(f"runs_per_k must be >= 1, got {runs_per_k}")
-    if max_iterations < 1:
-        raise ValidationError(f"max_iterations must be >= 1, got {max_iterations}")
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    runs_per_k = _checked_integer("runs_per_k", runs_per_k, 1)
+    max_iterations = _checked_integer("max_iterations", max_iterations, 1)
+    workers = _checked_integer("workers", workers, 1)
+    base_seed = _checked_integer("base_seed", base_seed)
     checked = [
         (coords, _checked_weights(coords, weights), candidate_ks(len(coords), k_range))
         for coords, weights, k_range in quadrants

@@ -664,6 +664,18 @@ def test_kmeans_rejects_bad_input():
         kmeans(GROUPED, [1.0, 1.0, 1.0, -1.0, 1.0, 1.0], k=2)
     with pytest.raises(ValidationError):
         kmeans(GROUPED, GROUPED_WEIGHTS, k=2, max_iterations=0)
+    for bad in ({"k": 2.0}, {"k": "2"}, {"seed": 1.5}, {"max_iterations": 2.5}):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            kmeans(GROUPED, GROUPED_WEIGHTS, **{"k": 2, **bad})
+
+
+def test_kmeans_accepts_numpy_integer_settings():
+    want = kmeans(GROUPED, GROUPED_WEIGHTS, k=2, seed=7, max_iterations=50)
+    got = kmeans(GROUPED, GROUPED_WEIGHTS, k=np.int64(2), seed=np.int64(7),
+                 max_iterations=np.int32(50))
+    assert same_bits(got.centers, want.centers) and np.array_equal(got.labels, want.labels)
+    assert (got.iterations, got.converged, got.objective) == (
+        want.iterations, want.converged, want.objective)
 
 
 def test_kmeans_rejects_max_iterations_below_one_before_its_matrix(monkeypatch):

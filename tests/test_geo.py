@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from sitepick.clustering import TRIANGLE_FACTOR, HaversineMetric
 from sitepick.errors import ValidationError
 from sitepick.geo import (
     EARTH,
@@ -138,11 +139,16 @@ def test_metric_axioms(lat1, lon1, lat2, lon2):
 
 
 @given(latitudes, longitudes, latitudes, longitudes, latitudes, longitudes)
+# Near-antipodal rounding: d(a, c) exceeds d(a, b) + d(b, c) by 1.16e-9 km.
+@example(0.0, 180.0, 0.0, 0.03125, 0.0, 0.0)
 def test_triangle_inequality(lat1, lon1, lat2, lon2, lat3, lon3):
+    # The bound HaversineMetric.triangle_slack derives, which Dunn pruning
+    # relies on; the exact distances have no slack, computed ones do.
     a = from_degrees(lat1, lon1)
     b = from_degrees(lat2, lon2)
     c = from_degrees(lat3, lon3)
-    assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-9
+    bound = (haversine(a, b) + haversine(b, c)) * TRIANGLE_FACTOR + HaversineMetric().triangle_slack
+    assert haversine(a, c) <= bound
 
 
 def test_vectorized_matches_scalar():

@@ -942,10 +942,34 @@ def test_sweep_rejects_bad_arguments():
         sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS[:-1], k_range=[2])
     with pytest.raises(ValidationError):
         sweep(coords_array(TWO_BAND_POINTS[:3]), [1.0] * 3)
+    # Settings that are not integers, which int() or a comparison would let
+    # through: k = 2.5 would run as k = 2.
+    for bad in ({"k_range": [2.5]}, {"k_range": ["3", 2]}, {"runs_per_k": 1.5},
+                {"runs_per_k": "3"}, {"max_iterations": 2.5}, {"base_seed": 0.5},
+                {"workers": 2.0}):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, **{"k_range": [2], **bad})
 
 
-@pytest.mark.parametrize("workers", [0, -1])
-def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, workers):
+def test_sweep_accepts_numpy_integer_settings():
+    coords = coords_array(FOUR_PAIR_POINTS)
+    want = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2, base_seed=7,
+                 max_iterations=50)
+    got = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=np.array([2, 3]), runs_per_k=np.int64(2),
+                base_seed=np.int64(7), max_iterations=np.int32(50), workers=np.int64(1))
+    assert got.optimal_k == want.optimal_k
+    for k, best in got.per_k.items():
+        assert (best.run_index, best.seed, best.dunn) == (
+            want.per_k[k].run_index, want.per_k[k].seed, want.per_k[k].dunn)
+        assert np.array_equal(best.labels, want.per_k[k].labels)
+
+
+@pytest.mark.parametrize(
+    "workers, problem",
+    [(0, ">= 1, got 0"), (-1, ">= 1, got -1"), (1.5, "an integer, got 1.5")],
+    ids=["0", "-1", "1.5"],
+)
+def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, workers, problem):
     started = []  # every pool or matrix the call begins to build
 
     def record(*args, **kwargs):
@@ -953,13 +977,18 @@ def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, 
 
     monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
-    with pytest.raises(ValidationError, match=f"workers must be >= 1, got {workers}"):
+    with pytest.raises(ValidationError, match=f"workers must be {problem}"):
         sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3], workers=workers)
     assert started == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(monkeypatch, workers):
+@pytest.mark.parametrize(
+    "max_iterations, problem", [(0, ">= 1, got 0"), (2.5, "an integer, got 2.5")], ids=["0", "2.5"]
+)
+def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(
+    monkeypatch, workers, max_iterations, problem
+):
     started = []  # every pool or matrix the call begins to build
 
     def record(*args, **kwargs):
@@ -970,8 +999,9 @@ def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(monkey
     monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
     coords = coords_array(FOUR_PAIR_POINTS)
-    with pytest.raises(ValidationError, match="max_iterations must be >= 1, got 0"):
-        sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], max_iterations=0, workers=workers)
+    with pytest.raises(ValidationError, match=f"max_iterations must be {problem}"):
+        sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], max_iterations=max_iterations,
+              workers=workers)
     assert started == []
 
 
