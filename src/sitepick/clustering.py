@@ -331,7 +331,7 @@ def weighted_center(coords: np.ndarray, weights: "list[float] | np.ndarray") -> 
     if len(coords) == 0:
         raise EmptyClusterError("cannot take the center of an empty cluster")
     labels = np.zeros(len(coords), dtype=np.int64)
-    unset = np.full((1, 2), np.nan)  # every point moves from label -1, so none is kept
+    unset = np.full((1, 2), np.nan)  # every point moves from label -1, so no old center is kept
     return _update_centers(coords, w, w[:, None] * coords, labels, 1, labels - 1, unset)[0]
 
 

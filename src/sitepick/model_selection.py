@@ -364,9 +364,9 @@ def sweep_quadrants(
     The call checks that runs_per_k, max_iterations and workers are
     integers >= 1, that base_seed is an integer, and every quadrant before
     it starts a pool or builds a matrix, then runs every cell, and raises
-    the first error either finds. It returns an
-    iterator over the quadrants' SweepResults, in order; a quadrant whose
-    runs were all degenerate raises SweepError when the iterator reaches it.
+    the first error either finds. It returns an iterator over the
+    quadrants' SweepResults, in order; a quadrant whose runs were all
+    degenerate raises SweepError when the iterator reaches it.
     """
     global _QUADRANT
     runs_per_k = _checked_integer("runs_per_k", runs_per_k, 1)

@@ -982,12 +982,17 @@ def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, 
     assert started == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
-    "max_iterations, problem", [(0, ">= 1, got 0"), (2.5, "an integer, got 2.5")], ids=["0", "2.5"]
+    "max_iterations, workers, problem",
+    [
+        pytest.param(0, 1, ">= 1, got 0", id="1"),
+        pytest.param(0, 2, ">= 1, got 0", id="2"),
+        pytest.param(2.5, 1, "an integer, got 2.5", id="2.5-1"),
+        pytest.param(2.5, 2, "an integer, got 2.5", id="2.5-2"),
+    ],
 )
 def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(
-    monkeypatch, workers, max_iterations, problem
+    monkeypatch, max_iterations, workers, problem
 ):
     started = []  # every pool or matrix the call begins to build
 
