@@ -88,13 +88,31 @@ def haversine_km(
     lat2: np.ndarray | float,
     lon2: np.ndarray | float,
     radius_km: float = EARTH.radius_km,
+    out: "np.ndarray | None" = None,
 ) -> np.ndarray:
-    """Vectorized haversine distance; broadcasts like numpy ufuncs."""
-    sin_dlat = np.sin(0.5 * (np.asarray(lat2) - np.asarray(lat1)))
-    sin_dlon = np.sin(0.5 * (np.asarray(lon2) - np.asarray(lon1)))
-    h = sin_dlat * sin_dlat + np.cos(lat1) * np.cos(lat2) * sin_dlon * sin_dlon
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * radius_km * np.arctan2(np.sqrt(h), np.sqrt(1.0 - h))
+    """Vectorized haversine distance; broadcasts like numpy ufuncs.
+
+    The result is written into `out` when it is given, a float64 array of
+    the broadcast shape (a view of a larger matrix will do), and returned.
+    Beyond it the call allocates one scratch array of that shape, `term`,
+    and the cosines of the latitudes, whatever the shape. `term` holds
+    cos(lat1) cos(lat2) sin^2(dlon/2), then sqrt(1 - h); every other name
+    below is `out` at one step. Each step runs in place on the operands of
+    h = sin^2(dlat/2) + cos(lat1) cos(lat2) sin^2(dlon/2), in that order,
+    so every entry has the bits the formula's plain numpy expression gives.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, (lat1, lon1, lat2, lon2))))
+    term = np.multiply(np.cos(lat1), np.cos(lat2), out=np.empty_like(out))
+    sin_dlon = np.sin(np.multiply(np.subtract(lon2, lon1, out=out), 0.5, out=out), out=out)
+    np.multiply(np.multiply(term, sin_dlon, out=term), sin_dlon, out=term)
+    sin_dlat = np.sin(np.multiply(np.subtract(lat2, lat1, out=out), 0.5, out=out), out=out)
+    h = np.add(np.multiply(sin_dlat, sin_dlat, out=out), term, out=out)
+    np.clip(h, 0.0, 1.0, out=h)
+    root_1_h = np.sqrt(np.subtract(1.0, h, out=term), out=term)
+    np.arctan2(np.sqrt(h, out=h), root_1_h, out=out)
+    np.multiply(out, 2.0 * radius_km, out=out)
+    return out if out.ndim else out[()]  # a float for scalar points, as a ufunc gives
 
 
 def coords_array(points: "list[GeoPoint] | tuple[GeoPoint, ...]") -> np.ndarray:

@@ -163,6 +163,8 @@ def test_vectorized_matches_scalar():
     for i in range(0, 64, 7):
         for j in range(0, 64, 5):
             assert matrix[i, j] == pytest.approx(haversine(points[i], points[j]), abs=1e-9)
+    alone = haversine_km(*coords[3], *coords[9])
+    assert isinstance(alone, float) and alone == matrix[3, 9]
 
 
 def test_coords_array_shape_and_values():

@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import math
 import os
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -20,6 +21,7 @@ from sitepick.clustering import (
     DEFAULT_MAX_ITERATIONS,
     HaversineMetric,
     PlanarMetric,
+    _MATRIX_BLOCK_ROWS,
     _distance_matrix,
     _objective_core,
     kmeans,
@@ -31,6 +33,7 @@ from sitepick.model_selection import (
     DunnScore,
     SweepResult,
     _dunn_bounds,
+    _dunn_from_matrix,
     _pool_size,
     _spanning_tree,
     default_k_max,
@@ -294,10 +297,13 @@ def test_pruned_diameters_equal_all_pairs(metric, shape, k, n, seed):
 
 
 @pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
-@pytest.mark.parametrize("n", [255, 256, 257, *range(511, 521)])
+@pytest.mark.parametrize(
+    "n", [63, 64, 65, *range(127, 137), 255, 256, 257, *range(511, 521)]
+)
 def test_half_built_distance_matrix_is_the_broadcast_matrix(metric, n):
-    # Both sides of _MATRIX_BLOCK_ROWS = 256 and every residue mod 8: each
-    # block starts its columns at its own first row.
+    # Both sides of one and two blocks of _MATRIX_BLOCK_ROWS = 64 rows, and
+    # of 256 and 512, with every residue mod 8: each block starts its
+    # columns at its own first row.
     rng = np.random.default_rng(n)
     coords = np.column_stack([rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n)])
     assert np.array_equal(_distance_matrix(coords, metric), metric.pairwise(coords, coords))
@@ -318,6 +324,70 @@ def test_distance_matrix_is_the_broadcast_matrix_and_symmetric(metric):
     assert np.array_equal(dist, metric.pairwise(coords, coords))
     assert np.array_equal(dist, dist.T)
     assert not dist.diagonal().any()
+
+
+def _lopsided(fillers):
+    """Clusters 0.5 rad apart on the equator. Cluster c is its anchor (its
+    first, lowest-index member) at the center and, at 0.01 / (c + 1) rad
+    times these offsets: F 1 north, P 0.9 west, `fillers[c]` points 0.4 to
+    0.8 east and Q 0.9 east. F reaches farthest, but its row holds only
+    |FP| ~ 1.35, so every member but the anchor can still be in a wider pair
+    and Dunn scoring reads their block. The widest pair of all, |PQ| = 1.8
+    in cluster 0, has P in the block's first row chunk and Q, past more than
+    a chunk of fillers, in a later one."""
+    clusters = []
+    for c, count in enumerate(fillers):
+        east = np.linspace(0.4, 0.8, count)
+        offsets = [(0.0, 0.0), (1.0, 0.0), (0.0, -0.9), *((0.0, x) for x in east), (0.0, 0.9)]
+        clusters.append(np.asarray(offsets) * (0.01 / (c + 1)) + [0.0, 0.5 * c])
+    labels = np.repeat(np.arange(len(fillers)), [count + 4 for count in fillers])
+    return np.vstack(clusters), labels.astype(np.uint8)
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_dunn_over_clusters_wider_than_one_chunk_is_the_all_pairs_score(metric):
+    coords, labels = _lopsided((2 * _MATRIX_BLOCK_ROWS + 5, _MATRIX_BLOCK_ROWS + 3))
+    dist = metric.pairwise(coords, coords)
+    same = labels[:, None] == labels[None, :]
+    min_inter, max_intra = float(dist[~same].min()), float(dist[same].max())
+    assert dunn_index(coords, labels, metric=metric) == DunnScore(
+        min_inter / max_intra, min_inter, max_intra
+    )
+
+
+def _traced_peak(call):
+    """What `call()` returns, and the peak of the memory it traced, numpy's
+    buffers included, above what was allocated when it began."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("metric", [HaversineMetric(), PlanarMetric()])
+def test_distance_matrix_scratch_is_a_few_row_blocks(metric):
+    n = 1500
+    rng = np.random.default_rng(4)
+    coords = np.column_stack([rng.uniform(-np.pi / 2, np.pi / 2, n), rng.uniform(-np.pi, np.pi, n)])
+    dist, peak = _traced_peak(lambda: _distance_matrix(coords, metric))
+    assert peak - dist.nbytes <= 2 * _MATRIX_BLOCK_ROWS * n * 8
+
+
+def test_dunn_scratch_is_a_few_row_blocks():
+    # A two-cluster partition of 1500 points whose larger cluster's block of
+    # members is 1199 x 1199 entries, 11.5 MB.
+    metric = HaversineMetric()
+    coords, labels = _lopsided((1196, 296))
+    n = len(coords)
+    dist = _distance_matrix(coords, metric)
+    (min_inter,), (reach,) = _dunn_bounds(dist, _spanning_tree(dist), labels[None], 2)
+    score, peak = _traced_peak(
+        lambda: _dunn_from_matrix(dist, labels, float(min_inter), reach, metric.triangle_slack)
+    )
+    assert score is not None
+    assert peak <= 2 * _MATRIX_BLOCK_ROWS * n * 8
 
 
 # --- spanning tree ---
