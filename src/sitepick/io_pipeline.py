@@ -237,8 +237,8 @@ def parse_responses(
     column_map: Mapping[str, str] | None = None,
     strict: bool = False,
 ) -> ParseResult:
-    """Parse survey CSV bytes into columns of accepted rows plus per-row
-    diagnostics.
+    """Parse survey CSV, as bytes or text, either with or without a leading
+    BOM, into columns of accepted rows plus per-row diagnostics.
 
     column_map renames canonical columns to whatever the file actually uses
     (e.g. {"latitude_deg": "lat"}); a key that names no canonical column, or
@@ -268,7 +268,7 @@ def parse_responses(
                 f"input is not UTF-8 text: byte 0x{exc.object[exc.start]:02x} on line {line}"
             ) from None
     else:
-        text = data
+        text = data.removeprefix("\ufeff")
     reader = _records(csv.reader(_lines(text)))
     header = next(reader, None)
     if header is None:

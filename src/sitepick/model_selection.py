@@ -15,14 +15,12 @@ every quadrant before any cell runs, and errors are raised, never returned.
 
 Memory model: every (k, run) cell of a quadrant reads the same pairwise
 distance matrix (for k-means++ seeding, empty-cluster repair and Dunn
-scoring), so a process builds it once per quadrant and reuses it for every
-k and run. That is one float64 n x n matrix, 8 * n^2 bytes: 18 MB at
-n = 1500 and 0.8 GB at n = 10 000. Cells are handed out quadrant by
-quadrant, and a process drops one quadrant's matrix before it builds the
-next, so it holds at most one at a time: at worst the largest quadrant's.
-With workers > 1 each pool worker builds a quadrant's matrix on its first
-cell of that quadrant and the parent builds none, so the figure holds per
-worker; serially the parent builds each in turn. The matrix is filled in
+scoring), one float64 n x n matrix of 8 * n^2 bytes: 18 MB at n = 1500 and
+0.8 GB at n = 10 000. A sweep task, one quadrant's ks or a slice of them,
+builds it, reads it for every k and run, and frees it when it returns, so a
+process holds one at a time: at worst the largest quadrant's. Serially each
+quadrant is one task, built in turn by the parent; with a pool the workers
+build one per task and the parent builds none. The matrix is filled in
 blocks of `_MATRIX_BLOCK_ROWS` = 64 rows, each pair computed once for the
 upper triangle, written in place, and copied to the lower, so building it
 takes 8 n^2 bytes + O(block * n) scratch: measured at 0.9 MB beyond the
@@ -281,15 +279,26 @@ def _dunn_from_matrix(
     return DunnScore(min_inter_km / max_intra_km, min_inter_km, max_intra_km)
 
 
-# The quadrant whose cell this process ran last: its index in the
-# `sweep_quadrants` call, its distance matrix and their spanning tree. A pool
-# worker keeps it from one cell to the next; the calling process clears it
-# when the call ends.
-_QUADRANT: Optional[tuple[int, np.ndarray, _Tree]] = None
+def _sweep_ks(
+    coords: np.ndarray,
+    weights: np.ndarray,
+    ks: Sequence[int],
+    runs_per_k: int,
+    base_seed: int,
+    metric: DistanceMetric,
+    max_iterations: int,
+) -> "list[Optional[KBest]]":
+    """`_sweep_cell` of each k in ks on one quadrant, in ks' order, over one
+    distance matrix and tree that are built here and freed on return."""
+    dist = _distance_matrix(coords, metric)
+    tree = _spanning_tree(dist)
+    return [_sweep_cell(dist, tree, coords, weights, runs_per_k, base_seed, metric,
+                        max_iterations, k) for k in ks]
 
 
 def _sweep_cell(
-    quadrant: int,
+    dist: np.ndarray,
+    tree: _Tree,
     coords: np.ndarray,
     weights: np.ndarray,
     runs_per_k: int,
@@ -299,9 +308,9 @@ def _sweep_cell(
     k: int,
 ) -> Optional[KBest]:
     """The best of k's runs_per_k seeded runs on one quadrant, the earliest
-    among equal scores, or None when every run is degenerate. The quadrant's
-    matrix and tree are built on this process's first cell of it, after the
-    previous quadrant's are dropped, so a process holds one at a time.
+    among equal scores, or None when every run is degenerate. `dist` and
+    `tree` are the quadrant's matrix and its `_spanning_tree`, owned by the
+    calling `_sweep_ks` task.
 
     One `_dunn_bounds` call gives every run's min_inter and reach. Runs are
     then scored in run order against the best so far. IEEE division is
@@ -311,12 +320,6 @@ def _sweep_cell(
     earlier run. A zero reach proves nothing (the run may be degenerate), so
     such a run is scored in full.
     """
-    global _QUADRANT
-    if _QUADRANT is None or _QUADRANT[0] != quadrant:
-        _QUADRANT = None
-        dist = _distance_matrix(coords, metric)
-        _QUADRANT = (quadrant, dist, _spanning_tree(dist))
-    _, dist, tree = _QUADRANT
     seeds = [derive_seed(base_seed, k, run) for run in range(runs_per_k)]
     centers, labels, iterations, converged = _kmeans_batch(
         dist, coords, weights, k, metric, seeds, max_iterations
@@ -373,7 +376,6 @@ def sweep_quadrants(
     quadrants' SweepResults, in order; a quadrant whose runs were all
     degenerate raises SweepError when the iterator reaches it.
     """
-    global _QUADRANT
     runs_per_k = _checked_integer("runs_per_k", runs_per_k, 1)
     max_iterations = _checked_integer("max_iterations", max_iterations, 1)
     workers = _checked_integer("workers", workers, 1)
@@ -382,26 +384,24 @@ def sweep_quadrants(
         (coords, _checked_weights(coords, weights), candidate_ks(len(coords), k_range))
         for coords, weights, k_range in quadrants
     ]
-    # Quadrant by quadrant, so a process moves through the matrices in order,
-    # and largest k first, so the longest cells do not start last.
     settings = (runs_per_k, base_seed, metric, max_iterations)
-    cells = [(i, coords, w, *settings, k) for i, (coords, w, ks) in enumerate(checked)
-             for k in reversed(ks)]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    size = _pool_size(workers, len(cells), cpus or 1)
-    try:
-        if size > 1:
-            # Workers build the matrices themselves: building them here and
-            # shipping them would leave copies and their freed temporaries in
-            # the parent.
-            with ProcessPoolExecutor(max_workers=size) as pool:
-                futures = [pool.submit(_sweep_cell, *cell) for cell in cells]
-            bests = [future.result() for future in futures]
-        else:
-            bests = [_sweep_cell(*cell) for cell in cells]
-    finally:
-        _QUADRANT = None
-    by_cell = {(cell[0], cell[-1]): best for cell, best in zip(cells, bests)}
+    size = _pool_size(workers, sum(len(ks) for *_, ks in checked), cpus or 1)
+    # Quadrant by quadrant, each quadrant's ks largest first and dealt into
+    # at most one slice per process, so the longest cells do not start last
+    # and a lone quadrant still fills the pool.
+    tasks = [(i, ks[::-1][j::size]) for i, (*_, ks) in enumerate(checked)
+             for j in range(min(size, len(ks)))]
+    if size > 1:
+        # Workers build the matrices themselves: building them here and
+        # shipping them would leave copies and their freed temporaries in
+        # the parent.
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            futures = [pool.submit(_sweep_ks, *checked[i][:2], ks, *settings) for i, ks in tasks]
+        bests = [future.result() for future in futures]
+    else:
+        bests = [_sweep_ks(*checked[i][:2], ks, *settings) for i, ks in tasks]
+    by_cell = {(i, k): best for (i, ks), task in zip(tasks, bests) for k, best in zip(ks, task)}
     return (_sweep_result({k: by_cell[i, k] for k in ks}) for i, (*_, ks) in enumerate(checked))
 
 

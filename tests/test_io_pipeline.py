@@ -273,6 +273,14 @@ def test_parse_handles_utf8_bom():
     assert parse_responses(data).accepted == 6
 
 
+def test_parse_strips_a_bom_from_text_as_from_bytes():
+    # A CSV that Excel exported, read with encoding="utf-8", starts with U+FEFF.
+    text = "\ufeff" + SIX_ROWS + "p7,Z,CBD,1.3,103.8,1 to 3,5\n"
+    from_text = parse_responses(text)
+    assert from_text == parse_responses(text.encode("utf-8"))
+    assert (from_text.accepted, len(from_text.diagnostics)) == (6, 1)
+
+
 def test_parse_rejects_non_utf8_bytes():
     data = b"\xef\xbb\xbf" + SIX_ROWS.encode("utf-8").replace(b"West", b"W\xe9st")
     with pytest.raises(ParseError, match="byte 0xe9 on line 6"):

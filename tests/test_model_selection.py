@@ -11,6 +11,8 @@ import functools
 import math
 import os
 import tracemalloc
+import types
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
@@ -466,6 +468,52 @@ def test_pool_size_clamps_to_cells_and_cpus():
     assert _pool_size(4, 37, 1) == 1
 
 
+@pytest.fixture
+def pool_in_process(monkeypatch):
+    """Puts a pool that runs each submitted task at once, in this process,
+    in place of the sweep's ProcessPoolExecutor. Returns its record: the
+    sizes of the pools started, every task's arguments, and `running`, the
+    index of the task that runs now (None outside one)."""
+    record = types.SimpleNamespace(started=[], tasks=[], running=None)
+
+    class PoolInProcess:
+        def __init__(self, max_workers):
+            record.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, function, *args):
+            record.running = len(record.tasks)
+            record.tasks.append(args)
+            future = Future()
+            future.set_result(function(*args))
+            record.running = None
+            return future
+
+    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", PoolInProcess)
+    return record
+
+
+@pytest.fixture
+def matrices(monkeypatch, pool_in_process):
+    """(task running, n) of every `_distance_matrix` call the sweep makes,
+    and a weak reference to each matrix it returns."""
+    builds, refs = [], []
+
+    def counted_matrix(coords, metric):
+        builds.append((pool_in_process.running, len(coords)))
+        dist = _distance_matrix(coords, metric)
+        refs.append(weakref.ref(dist))
+        return dist
+
+    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
+    return builds, refs
+
+
 @pytest.mark.parametrize(
     "affinity, cpu_count, pools",
     [
@@ -475,7 +523,9 @@ def test_pool_size_clamps_to_cells_and_cpus():
         pytest.param(None, 4, [2], id="no-affinity-four-cpus"),
     ],
 )
-def test_sweep_pool_fits_the_cpus_this_process_may_run_on(monkeypatch, affinity, cpu_count, pools):
+def test_sweep_pool_fits_the_cpus_this_process_may_run_on(
+    monkeypatch, pool_in_process, affinity, cpu_count, pools
+):
     # Like `taskset -c 0 sitepick sweep --workers 2`: the affinity set, not the
     # machine's CPU count, bounds the pool; without one the count does.
     if affinity is None:
@@ -483,28 +533,9 @@ def test_sweep_pool_fits_the_cpus_this_process_may_run_on(monkeypatch, affinity,
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    started = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def submit(self, function, *args):
-            future = Future()
-            future.set_result(function(*args))
-            return future
-
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(sitepick.model_selection, "_QUADRANT", None)
     coords = coords_array(FOUR_PAIR_POINTS)
     result = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2, workers=2)
-    assert started == pools
+    assert pool_in_process.started == pools
     serial = sweep(coords, FOUR_PAIR_WEIGHTS, k_range=[2, 3], runs_per_k=2)
     assert result.optimal_k == serial.optimal_k
     assert np.array_equal(result.best.labels, serial.best.labels)
@@ -521,73 +552,65 @@ def _scattered_quadrants(sizes, seed=31):
     return quadrants
 
 
-def test_one_pool_runs_every_cell_and_each_worker_builds_each_matrix_once(monkeypatch):
+def _assert_same_bits(result, expected):
+    """Every field of every k's best run is equal, floats to the bit."""
+    assert result.optimal_k == expected.optimal_k
+    assert list(result.per_k) == list(expected.per_k)
+    for k, best in result.per_k.items():
+        other = expected.per_k[k]
+        assert (best.run_index, best.seed, best.iterations, best.converged) == (
+            other.run_index, other.seed, other.iterations, other.converged)
+        assert _bits(best.dunn) == _bits(other.dunn)
+        assert best.centers.tobytes() == other.centers.tobytes()
+        assert np.array_equal(best.labels, other.labels)
+
+
+def test_one_pool_runs_every_task_and_each_task_builds_its_matrix_once(
+    monkeypatch, pool_in_process, matrices
+):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sitepick.model_selection, "_QUADRANT", None)
-    pools, submitted, builds = [], [], []
-    running = [None]  # the emulated worker running a cell, None outside one
-
-    class WorkersInProcess:
-        """Runs each submitted cell at once in this process, on `max_workers`
-        emulated workers in turn, each keeping its own last quadrant."""
-
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            self.kept = [None] * max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def submit(self, function, *args):
-            worker = len(submitted) % len(self.kept)
-            submitted.append((args[0], args[-1]))
-            sitepick.model_selection._QUADRANT, running[0] = self.kept[worker], worker
-            future = Future()
-            future.set_result(function(*args))
-            self.kept[worker], running[0] = sitepick.model_selection._QUADRANT, None
-            return future
-
-    def counted_matrix(coords, metric):
-        builds.append((running[0], len(coords)))
-        return _distance_matrix(coords, metric)
-
     quadrants = _scattered_quadrants([9, 10, 11])
     alone = [sweep(coords, weights, k_range=range(2, 5), runs_per_k=3) for coords, weights in quadrants]
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", WorkersInProcess)
-    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
+    builds, refs = matrices
+    del builds[:], refs[:]
     outcomes = sweep_quadrants(
         [(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=3, workers=2
     )
-    assert pools == [2]
-    # Quadrant by quadrant, largest k first.
-    assert submitted == [(q, k) for q in range(3) for k in (4, 3, 2)]
-    # Each emulated worker built each quadrant's matrix once; the parent none.
-    assert sorted(builds) == [(worker, n) for worker in (0, 1) for n in (9, 10, 11)]
-    assert sitepick.model_selection._QUADRANT is None
+    assert pool_in_process.started == [2]
+    # Quadrant by quadrant, each quadrant's ks largest first, dealt into one
+    # slice per process.
+    submitted = [(next(q for q, (coords, _) in enumerate(quadrants) if args[0] is coords),
+                  list(args[2])) for args in pool_in_process.tasks]
+    assert submitted == [(q, ks) for q in range(3) for ks in ([4, 2], [3])]
+    # One build per task, in the task; none in the parent.
+    assert builds == [(task, n) for task, n in enumerate((9, 9, 10, 10, 11, 11))]
+    assert len(refs) == 6 and all(ref() is None for ref in refs)
     for outcome, expected in zip(outcomes, alone):
-        assert outcome.optimal_k == expected.optimal_k
-        for k, best in outcome.per_k.items():
-            assert best.dunn == expected.per_k[k].dunn
-            assert np.array_equal(best.labels, expected.per_k[k].labels)
+        _assert_same_bits(outcome, expected)
 
 
-def test_serial_sweep_builds_each_quadrant_matrix_once_and_keeps_none(monkeypatch):
-    builds = []
+def test_one_quadrant_splits_its_ks_over_the_pool(monkeypatch, pool_in_process, matrices):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (coords, weights), = _scattered_quadrants([30])
+    serial = sweep(coords, weights, k_range=range(2, 10), runs_per_k=3, base_seed=7)
+    assert pool_in_process.started == []
+    pooled = sweep(coords, weights, k_range=range(2, 10), runs_per_k=3, base_seed=7, workers=2)
+    assert pool_in_process.started == [2]
+    assert [list(args[2]) for args in pool_in_process.tasks] == [[9, 7, 5, 3], [8, 6, 4, 2]]
+    builds, refs = matrices
+    assert builds == [(None, 30), (0, 30), (1, 30)]
+    assert all(ref() is None for ref in refs)
+    _assert_same_bits(pooled, serial)
 
-    def counted_matrix(coords, metric):
-        builds.append(len(coords))
-        return _distance_matrix(coords, metric)
 
-    monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", counted_matrix)
+def test_serial_sweep_builds_each_quadrant_matrix_once_and_keeps_none(matrices):
     quadrants = _scattered_quadrants([9, 10, 11])
     results = list(sweep_quadrants(
         [(coords, weights, range(2, 5)) for coords, weights in quadrants], runs_per_k=2
     ))
-    assert builds == [9, 10, 11]
-    assert sitepick.model_selection._QUADRANT is None
+    builds, refs = matrices
+    assert builds == [(None, 9), (None, 10), (None, 11)]
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
     # A view would keep its k's whole (runs_per_k, n) batch alive.
     assert all(best.centers.base is None and best.labels.base is None
                for result in results for best in result.per_k.values())
@@ -888,13 +911,13 @@ def _score_cell(coords, metric, k, label_runs):
         called.append(next(run for run, row in enumerate(stacks[0]) if np.shares_memory(labels, row)))
         return score(dist, labels, *args)
 
+    dist = _distance_matrix(coords, metric)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sitepick.model_selection, "_QUADRANT", None)
         patch.setattr(sitepick.model_selection, "_kmeans_batch", lambda *args: runs)
         patch.setattr(sitepick.model_selection, "_dunn_bounds", bounding)
         patch.setattr(sitepick.model_selection, "_dunn_from_matrix", recording)
         best = sitepick.model_selection._sweep_cell(
-            0, coords, np.ones(len(coords)), len(label_runs), 0, metric, 1, k
+            dist, _spanning_tree(dist), coords, np.ones(len(coords)), len(label_runs), 0, metric, 1, k
         )
     assert len(stacks) == 1 and np.array_equal(stacks[0], label_runs)
     return called, best
