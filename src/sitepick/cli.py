@@ -18,7 +18,8 @@ before the survey. Environment variables are
 deliberately never consulted, so a command line plus its files fully
 determines the run. Exit codes: 0 success, 2 bad configuration or usage
 (including a --config or --column-map file that is missing or not UTF-8
-text, and an output directory that cannot be created or written), 3
+text, and an output directory that cannot be created or written; one at or
+under a file fails before the survey is read), 3
 unparseable input (including input that is not UTF-8 text), 4 clustering
 that produced no scoreable partition or lost a cluster. A run that fails
 writes no artifacts: all go to temp files before any is renamed into place,
@@ -217,10 +218,21 @@ def _write(directory: Path, files: "list[tuple[str, bytes]]") -> None:
         raise ConfigError(f"cannot write into {str(directory)!r}: {exc.strerror or exc}") from exc
 
 
+def _check_output_dir(directory: Path) -> None:
+    """Raise ConfigError when directory, or its nearest existing ancestor,
+    is not a directory, so that a run `_write` would fail does not start."""
+    for path in (directory, *directory.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"cannot write into {str(path)!r}: Not a directory")
+            return
+
+
 def cmd_weights(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    _, parsed = _parse_survey(config, _load_column_map(args.column_map))
     out_dir = Path(config.output_dir)
+    _check_output_dir(out_dir)
+    _, parsed = _parse_survey(config, _load_column_map(args.column_map))
     lines = ["source_row,participant_id,quadrant,region,frequency_factor,avg_duration_min,weight"]
     summary = ["quadrant,label,n_points,auc"]
     # Keyed by identity: hashing an enum member runs Python code, and the
@@ -252,6 +264,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = resolve_config(args)
+    _check_output_dir(Path(config.output_dir))
     metric = HaversineMetric(EarthModel(config.earth_radius_km))
     if not config.region_order:
         raise ConfigError("region_order must name at least one region")
@@ -345,8 +358,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         quadrants=tuple(args.quadrant) if args.quadrant else SynthSpec.quadrants,
         seed=args.seed,
     )
-    payload = synthetic_csv(spec)
     target = Path(args.output)
+    _check_output_dir(target.parent)
+    if target.is_dir():
+        raise ConfigError(f"cannot write {str(target)!r}: Is a directory")
+    payload = synthetic_csv(spec)
     _write(target.parent, [(target.name, payload)])
     rows = payload.count(b"\n") - 1
     print(f"wrote {rows} synthetic responses to {target}")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -392,6 +391,9 @@ def build_weighted_points(
 
 
 def sha256_digest(data: bytes) -> str:
+    # Imported here: hashlib loads OpenSSL, which only the manifest needs.
+    import hashlib
+
     return "sha256:" + hashlib.sha256(data).hexdigest()
 
 

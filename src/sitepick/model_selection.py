@@ -32,6 +32,11 @@ triangle inequality cannot bound below the largest found so far, one row
 of s entries and the block of the members that can still be in a wider
 pair: at most s x s, and usually far less, read `_MATRIX_BLOCK_ROWS` rows
 at a time, so no temporary of Dunn scoring holds more than 64 x s values.
+All of this sits on each process's base, the interpreter and numpy (about
+27 MiB with Python 3.11 and numpy 2.4 on x86_64). The process pool and its
+multiprocessing modules are imported only when a pool starts, so they are
+not under a serial sweep's matrices; OpenSSL's hashing loads only when a
+sweep digests its input for the manifest, after every matrix is freed.
 
 Within a k, runs are scored in run order against the best so far, and a
 run whose exact upper bound on the Dunn index cannot beat it is dropped
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -395,7 +399,10 @@ def sweep_quadrants(
     if size > 1:
         # Workers build the matrices themselves: building them here and
         # shipping them would leave copies and their freed temporaries in
-        # the parent.
+        # the parent. The pool's modules load only here, not under a serial
+        # sweep's matrices.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=size) as pool:
             futures = [pool.submit(_sweep_ks, *checked[i][:2], ks, *settings) for i, ks in tasks]
         bests = [future.result() for future in futures]

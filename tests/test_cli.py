@@ -1,18 +1,20 @@
 """End-to-end command-line tests, run in-process through main()."""
 
+import concurrent.futures
 import csv
 import errno
 import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 import sitepick.cli
 import sitepick.io_pipeline
-import sitepick.model_selection
 from sitepick.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from sitepick.errors import EmptyClusterError
 from sitepick.io_pipeline import Quadrant, parse_responses
@@ -680,13 +682,13 @@ def counted_pools(monkeypatch):
     allowed so that --workers 2 may start one."""
     started = []
 
-    class CountedPool(sitepick.model_selection.ProcessPoolExecutor):
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
     return started
 
 
@@ -890,6 +892,38 @@ def test_output_dir_under_a_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _tree(root):
+    return sorted((str(path), path.is_dir()) for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["weights", "sweep"])
+@pytest.mark.parametrize("below", [(), ("out", "deeper")], ids=["the-file", "under-it"])
+def test_an_output_dir_at_or_under_a_file_fails_before_the_survey_is_read(
+    tmp_path, capsys, monkeypatch, command, below
+):
+    survey = write_survey(tmp_path, TWO_REGION_ROWS)
+    blocker = tmp_path / "afile"
+    blocker.write_bytes(b"kept")
+    before = _tree(tmp_path)
+    monkeypatch.setattr(sitepick.cli, "_parse_survey",
+                        lambda *args: pytest.fail("the survey was read"))
+    assert main([command, str(survey), "-o", str(blocker.joinpath(*below))]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"error: cannot write into {str(blocker)!r}: Not a directory\n"
+    assert out == ""
+    assert _tree(tmp_path) == before
+    assert blocker.read_bytes() == b"kept"
+
+
+def test_synth_into_an_existing_directory_names_that_directory(tmp_path, capsys):
+    target = tmp_path / "taken"
+    (target / "inner").mkdir(parents=True)
+    before = _tree(tmp_path)
+    assert main(["synth", "-o", str(target), "--blobs", "2", "--per-blob", "3"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {str(target)!r}: Is a directory\n"
+    assert _tree(tmp_path) == before
+
+
 def test_selected_quadrant_without_responses(tmp_path, capsys):
     survey = write_survey(tmp_path, ["p1,B,CBD,1.3,103.8,1 to 3,5"])
     code = main(["sweep", str(survey), "-o", str(tmp_path / "o"), "--quadrant", "A"])
@@ -1022,3 +1056,52 @@ def test_every_run_option_has_a_flag(argv):
     elif argv[0] == "weights":
         expected = {"strict", "quadrants"}
     assert dests & set(sitepick.cli._RUN_OPTIONS) == expected
+
+
+# --- what a run loads ---
+
+# Runs in a fresh interpreter: the test process has these modules loaded
+# already. Prints which of them are loaded after the import, after weights,
+# at each matrix a serial sweep builds, and after that sweep.
+LOADED_BY_A_RUN = """
+import json, sys
+LAZY = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing")
+
+def loaded():
+    return [name for name in LAZY if name in sys.modules]
+
+import sitepick, sitepick.cli
+from sitepick import model_selection
+report = {"import": loaded(), "at_matrix": []}
+build = model_selection._distance_matrix
+
+def recorded_matrix(*args):
+    report["at_matrix"].append(loaded())
+    return build(*args)
+
+model_selection._distance_matrix = recorded_matrix
+survey, out = sys.argv[1:]
+assert sitepick.cli.main(["weights", survey, "-o", out + "/w"]) == 0
+report["weights"] = loaded()
+assert sitepick.cli.main(
+    ["sweep", survey, "-o", out + "/s", "--runs-per-k", "2", "--workers", "1"]) == 0
+report["sweep"] = loaded()
+print(json.dumps(report))
+"""
+
+
+def test_the_pool_and_hashing_load_only_on_the_paths_that_use_them(tmp_path):
+    survey = tmp_path / "survey.csv"
+    assert main(["synth", "-o", str(survey), "--blobs", "2", "--per-blob", "5"]) == 0
+    src = pathlib.Path(sitepick.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", LOADED_BY_A_RUN, str(survey), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert (report["import"], report["weights"]) == ([], [])
+    assert report["at_matrix"] == [[]] * 4
+    assert "hashlib" in report["sweep"]
+    assert "concurrent.futures.process" not in report["sweep"]
+    assert "multiprocessing" not in report["sweep"]

@@ -6,6 +6,7 @@ with plain Python loops over the scalar distance function, independently of
 the vectorized implementation under test.
 """
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -471,9 +472,10 @@ def test_pool_size_clamps_to_cells_and_cpus():
 @pytest.fixture
 def pool_in_process(monkeypatch):
     """Puts a pool that runs each submitted task at once, in this process,
-    in place of the sweep's ProcessPoolExecutor. Returns its record: the
-    sizes of the pools started, every task's arguments, and `running`, the
-    index of the task that runs now (None outside one)."""
+    in place of the ProcessPoolExecutor that the sweep imports from
+    concurrent.futures when it starts a pool. Returns its record: the sizes
+    of the pools started, every task's arguments, and `running`, the index
+    of the task that runs now (None outside one)."""
     record = types.SimpleNamespace(started=[], tasks=[], running=None)
 
     class PoolInProcess:
@@ -494,7 +496,7 @@ def pool_in_process(monkeypatch):
             record.running = None
             return future
 
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", PoolInProcess)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PoolInProcess)
     return record
 
 
@@ -651,7 +653,7 @@ def test_a_bad_k_range_in_any_quadrant_fails_before_any_matrix(
     def record(*args, **kwargs):
         started.append((args, kwargs))
 
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
     quadrants = [(coords, weights, [2, 3]) for coords, weights in _scattered_quadrants([9, 10])]
     coords, weights = _scattered_quadrants([n], seed=7)[0]
@@ -1068,7 +1070,7 @@ def test_sweep_rejects_workers_below_one_before_any_pool_or_matrix(monkeypatch, 
     def record(*args, **kwargs):
         started.append((args, kwargs))
 
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
     with pytest.raises(ValidationError, match=f"workers must be {problem}"):
         sweep(coords_array(FOUR_PAIR_POINTS), FOUR_PAIR_WEIGHTS, k_range=[2, 3], workers=workers)
@@ -1094,7 +1096,7 @@ def test_sweep_rejects_max_iterations_below_one_before_any_pool_or_matrix(
 
     # Two allowed CPUs would let two workers start a pool for the two cells.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sitepick.model_selection, "ProcessPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     monkeypatch.setattr(sitepick.model_selection, "_distance_matrix", record)
     coords = coords_array(FOUR_PAIR_POINTS)
     with pytest.raises(ValidationError, match=f"max_iterations must be {problem}"):
